@@ -2,7 +2,7 @@
 
 graph6 on argv and JSON (or fixed-layout text) on stdout are the only
 data planes; timing goes to stderr so stdout stays byte-identical across
-runs and thread counts.
+runs.
 
 Exit codes: 0 verdict-true/success, 1 verdict-false/certification
 failure, 2 usage, parse, or infeasibility errors.
@@ -34,8 +34,8 @@ from .graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from .predicates import PREDICATES, run_predicate
 from .search import (
     DEFAULT_MAX_N,
+    SEARCH_PREDICATES,
     SearchCache,
-    SearchCapError,
     density_profile,
     min_edges,
 )
@@ -97,12 +97,9 @@ def _cmd_compute(args) -> int:
             pattern,
             args.n,
             args.predicate,
-            threads=args.threads,
             cache=_cache_from(args),
             max_n=args.max_n,
         )
-    except SearchCapError as exc:
-        raise _CliError(str(exc)) from exc
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
     if args.json:
@@ -226,11 +223,10 @@ def _cmd_profile(args) -> int:
             pattern,
             args.n_max,
             args.predicate,
-            threads=args.threads,
             cache=_cache_from(args),
             max_n=args.max_n,
         )
-    except (SearchCapError, ValueError) as exc:
+    except ValueError as exc:
         raise _CliError(str(exc)) from exc
     if args.json:
         _emit_json(prof.to_json_dict())
@@ -288,14 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON on stdout")
-    common.add_argument(
-        "--seedless",
-        action="store_true",
-        help="reserved; execution is always deterministic",
-    )
 
     search_common = argparse.ArgumentParser(add_help=False)
-    search_common.add_argument("--threads", type=int, default=1, help="worker threads")
     search_common.add_argument(
         "--cache", default=None, help=f"result cache path (default ${CACHE_ENV})"
     )
@@ -314,11 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--pattern", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--predicate",
-        required=True,
-        choices=["saturated", "semi-saturated", "dom-sat", "weakly-saturated"],
-    )
+    p.add_argument("--predicate", required=True, choices=SEARCH_PREDICATES)
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("construct", parents=[common], help="build a named family")
@@ -356,11 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--pattern", required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument(
-        "--predicate",
-        default="dom-sat",
-        choices=["saturated", "semi-saturated", "dom-sat", "weakly-saturated"],
-    )
+    p.add_argument("--predicate", default="dom-sat", choices=SEARCH_PREDICATES)
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("verify", parents=[common], help="run a property battery")

@@ -10,23 +10,27 @@ edge, and exact copy counting.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import inf
 
 from .canon import automorphism_order
-from .graphs import Graph, _bits
+from .graphs import Graph
 
 
 @lru_cache(maxsize=1024)
-def _pattern_order(pattern: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Search order and earlier-neighbor masks for a pattern.
+def _search_order(
+    pattern: Graph, prefix: tuple[int, ...] = ()
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Search order and earlier-neighbor positions for a pattern.
 
-    Vertices are ordered component by component, highest degree first,
-    then by how many already-ordered neighbors they have; isolated
-    vertices go last.  Returns (order, back_masks) where back_masks[i]
-    is the bitmask of order[0..i-1] entries adjacent to order[i].
+    The order starts with prefix; after it, vertices are ordered
+    component by component, highest degree first, then by how many
+    already-ordered neighbors they have; isolated vertices go last.
+    Returns (order, back) where back[i] holds the positions j < i whose
+    vertex order[j] is adjacent to order[i].
     """
     degs = pattern.degrees()
-    order: list[int] = []
-    placed = 0
+    order = list(prefix)
+    placed = sum(1 << v for v in prefix)
     while len(order) < pattern.n:
         remaining = [v for v in range(pattern.n) if not placed >> v & 1]
         # most constrained next: maximize (placed neighbors, degree)
@@ -36,12 +40,11 @@ def _pattern_order(pattern: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
         )
         order.append(best)
         placed |= 1 << best
-    back = []
-    seen = 0
-    for v in order:
-        back.append(pattern.rows[v] & seen)
-        seen |= 1 << v
-    return tuple(order), tuple(back)
+    back = tuple(
+        tuple(j for j in range(i) if pattern.has_edge(order[i], order[j]))
+        for i in range(len(order))
+    )
+    return tuple(order), back
 
 
 def is_valid_embedding(pattern: Graph, host: Graph, mapping: tuple[int, ...]) -> bool:
@@ -55,34 +58,45 @@ def is_valid_embedding(pattern: Graph, host: Graph, mapping: tuple[int, ...]) ->
     return all(host.has_edge(mapping[a], mapping[b]) for a, b in pattern.edges())
 
 
-def _extend(
-    pattern: Graph,
-    host: Graph,
+def _search(
+    rows: tuple[int, ...],
     order: tuple[int, ...],
-    back: tuple[int, ...],
-    image: list[int],
-    pos: dict[int, int],
-    used: int,
-    depth: int,
+    back: tuple[tuple[int, ...], ...],
     deg_ok: tuple[int, ...],
-) -> tuple[int, ...] | None:
+    image: list[int],
+    depth: int,
+    used: int,
+    limit: float,
+) -> int:
+    """Count embeddings extending image[:depth], stopping at limit.
+
+    image[i] is the host vertex of pattern vertex order[i] and used is
+    the bitmask of those host vertices.  When the count reaches limit,
+    image holds the embedding that reached it.
+    """
     if depth == len(order):
-        out = [0] * pattern.n
-        for i, pv in enumerate(order):
-            out[pv] = image[i]
-        return tuple(out)
-    pv = order[depth]
-    mask = deg_ok[pv] & ~used
-    for i in _bits(back[depth]):
-        mask &= host.rows[image[pos[i]]]
+        return 1
+    mask = deg_ok[order[depth]] & ~used
+    for j in back[depth]:
+        mask &= rows[image[j]]
         if not mask:
-            return None
-    for hv in _bits(mask):
-        image[depth] = hv
-        found = _extend(pattern, host, order, back, image, pos, used | 1 << hv, depth + 1, deg_ok)
-        if found is not None:
+            return 0
+    found = 0
+    while mask:
+        low = mask & -mask
+        image[depth] = low.bit_length() - 1
+        found += _search(rows, order, back, deg_ok, image, depth + 1, used | low, limit - found)
+        if found >= limit:
             return found
-    return None
+        mask ^= low
+    return found
+
+
+def _mapping(order: tuple[int, ...], image: list[int]) -> tuple[int, ...]:
+    out = [0] * len(order)
+    for i, pv in enumerate(order):
+        out[pv] = image[i]
+    return tuple(out)
 
 
 def _deg_masks(pattern: Graph, host: Graph) -> tuple[int, ...]:
@@ -106,34 +120,14 @@ def embedding_exists(pattern: Graph, host: Graph) -> tuple[int, ...] | None:
     """
     if pattern.n > host.n or pattern.edge_count > host.edge_count:
         return None
-    order, back = _pattern_order(pattern)
-    pos = {v: i for i, v in enumerate(order)}
     deg_ok = _deg_masks(pattern, host)
     if any(not m for m in deg_ok):
         return None
-    return _extend(pattern, host, order, back, [0] * pattern.n, pos, 0, 0, deg_ok)
-
-
-@lru_cache(maxsize=1024)
-def _anchored_orders(pattern: Graph, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Search order starting with the fixed pattern vertices a then b."""
-    degs = pattern.degrees()
-    order = [a, b]
-    placed = (1 << a) | (1 << b)
-    while len(order) < pattern.n:
-        remaining = [v for v in range(pattern.n) if not placed >> v & 1]
-        best = max(
-            remaining,
-            key=lambda v: ((pattern.rows[v] & placed).bit_count(), degs[v], -v),
-        )
-        order.append(best)
-        placed |= 1 << best
-    back = []
-    seen = 0
-    for v in order:
-        back.append(pattern.rows[v] & seen)
-        seen |= 1 << v
-    return tuple(order), tuple(back)
+    order, back = _search_order(pattern)
+    image = [0] * pattern.n
+    if _search(host.rows, order, back, deg_ok, image, 0, 0, 1):
+        return _mapping(order, image)
+    return None
 
 
 def copy_through_edge(
@@ -151,57 +145,27 @@ def copy_through_edge(
     if pattern.n > host.n:
         return None
     deg_ok = _deg_masks(pattern, host)
+    image = [0] * pattern.n
     for a, b in pattern.edges():
         for pa, pb, hu, hv in ((a, b, u, v), (a, b, v, u)):
             if pattern.degree(pa) > host.degree(hu) or pattern.degree(pb) > host.degree(hv):
                 continue
-            order, back = _anchored_orders(pattern, pa, pb)
-            pos = {x: i for i, x in enumerate(order)}
-            image = [0] * pattern.n
+            order, back = _search_order(pattern, (pa, pb))
             image[0], image[1] = hu, hv
-            found = _extend(
-                pattern, host, order, back, image, pos,
-                (1 << hu) | (1 << hv), 2, deg_ok,
-            )
-            if found is not None:
-                return found
+            if _search(host.rows, order, back, deg_ok, image, 2, (1 << hu) | (1 << hv), 1):
+                return _mapping(order, image)
     return None
-
-
-def _count_all(pattern: Graph, host: Graph) -> int:
-    order, back = _pattern_order(pattern)
-    pos = {v: i for i, v in enumerate(order)}
-    deg_ok = _deg_masks(pattern, host)
-    if any(not m for m in deg_ok):
-        return 0
-    image = [0] * pattern.n
-    total = 0
-    n_p = pattern.n
-
-    def rec(depth: int, used: int) -> None:
-        nonlocal total
-        if depth == n_p:
-            total += 1
-            return
-        pv = order[depth]
-        mask = deg_ok[pv] & ~used
-        for i in _bits(back[depth]):
-            mask &= host.rows[image[pos[i]]]
-            if not mask:
-                return
-        for hv in _bits(mask):
-            image[depth] = hv
-            rec(depth + 1, used | 1 << hv)
-
-    rec(0, 0)
-    return total
 
 
 def count_embeddings(pattern: Graph, host: Graph) -> int:
     """Number of injective edge-preserving maps pattern -> host."""
     if pattern.n > host.n or pattern.edge_count > host.edge_count:
         return 0
-    return _count_all(pattern, host)
+    deg_ok = _deg_masks(pattern, host)
+    if any(not m for m in deg_ok):
+        return 0
+    order, back = _search_order(pattern)
+    return _search(host.rows, order, back, deg_ok, [0] * pattern.n, 0, 0, inf)
 
 
 def count_copies(pattern: Graph, host: Graph) -> int:

@@ -250,9 +250,14 @@ def disjoint_union(parts: Sequence[Graph]) -> Graph:
 # -- connectivity ----------------------------------------------------------
 
 
-def components(g: Graph) -> list[int]:
-    """Connected components as vertex bitmasks, ordered by lowest vertex."""
-    remaining = g.vertex_mask
+def components(g: Graph, alive: int | None = None) -> list[int]:
+    """Connected components as vertex bitmasks, ordered by lowest vertex.
+
+    With alive given, the components of the subgraph induced on alive.
+    """
+    if alive is None:
+        alive = g.vertex_mask
+    remaining = alive
     out = []
     while remaining:
         seed = remaining & -remaining
@@ -262,7 +267,7 @@ def components(g: Graph) -> list[int]:
             nbrs = 0
             for v in _bits(frontier):
                 nbrs |= g.rows[v]
-            frontier = nbrs & ~comp
+            frontier = nbrs & alive & ~comp
             comp |= frontier
         out.append(comp)
         remaining &= ~comp
@@ -325,24 +330,6 @@ def bridges(g: Graph) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def _component_count_within(g: Graph, alive: int) -> int:
-    count = 0
-    remaining = alive
-    while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            nbrs = 0
-            for v in _bits(frontier):
-                nbrs |= g.rows[v]
-            frontier = nbrs & alive & ~comp
-            comp |= frontier
-        count += 1
-        remaining &= ~comp
-    return count
-
-
 def _k_connected_brute(g: Graph, k: int) -> bool:
     full = g.vertex_mask
     for size in range(k):
@@ -350,8 +337,39 @@ def _k_connected_brute(g: Graph, k: int) -> bool:
             mask = 0
             for v in cut:
                 mask |= 1 << v
-            if _component_count_within(g, full & ~mask) >= 2:
+            if len(components(g, full & ~mask)) >= 2:
                 return False
+    return True
+
+
+def _flow_at_least(cap: dict[tuple[int, int], int], source: int, sink: int, k: int) -> bool:
+    """At least k units of source-sink flow by BFS augmenting paths.
+
+    cap holds the residual capacity of every arc and of its reverse; it
+    is consumed.
+    """
+    adj: dict[int, list[int]] = {}
+    for (a, b) in cap:
+        adj.setdefault(a, []).append(b)
+    flow = 0
+    while flow < k:
+        parent = {source: source}
+        queue = [source]
+        while queue and sink not in parent:
+            cur = queue.pop(0)
+            for nxt in adj.get(cur, ()):
+                if nxt not in parent and cap[(cur, nxt)] > 0:
+                    parent[nxt] = cur
+                    queue.append(nxt)
+        if sink not in parent:
+            return False
+        cur = sink
+        while cur != source:
+            prv = parent[cur]
+            cap[(prv, cur)] -= 1
+            cap[(cur, prv)] += 1
+            cur = prv
+        flow += 1
     return True
 
 
@@ -374,32 +392,7 @@ def _vertex_flow_at_least(g: Graph, s: int, t: int, k: int) -> bool:
             tail = 2 * u + 1 if u not in (s, t) else 2 * u
             head = 2 * v if v not in (s, t) else 2 * v
             arc(tail, head, big)
-
-    adj: dict[int, list[int]] = {}
-    for (a, b) in cap:
-        adj.setdefault(a, []).append(b)
-
-    source, sink = 2 * s, 2 * t
-    flow = 0
-    while flow < k:
-        parent = {source: source}
-        queue = [source]
-        while queue and sink not in parent:
-            cur = queue.pop(0)
-            for nxt in adj.get(cur, ()):
-                if nxt not in parent and cap[(cur, nxt)] > 0:
-                    parent[nxt] = cur
-                    queue.append(nxt)
-        if sink not in parent:
-            return False
-        cur = sink
-        while cur != source:
-            prv = parent[cur]
-            cap[(prv, cur)] -= 1
-            cap[(cur, prv)] += 1
-            cur = prv
-        flow += 1
-    return True
+    return _flow_at_least(cap, 2 * s, 2 * t, k)
 
 
 def _k_connected_flow(g: Graph, k: int) -> bool:
@@ -440,33 +433,9 @@ def _k_edge_connected_brute(g: Graph, k: int) -> bool:
 
 
 def _edge_flow_at_least(g: Graph, s: int, t: int, k: int) -> bool:
-    cap: dict[tuple[int, int], int] = {}
-    for u in range(g.n):
-        for v in _bits(g.rows[u]):
-            cap[(u, v)] = 1
-    adj: dict[int, list[int]] = {}
-    for (a, b) in cap:
-        adj.setdefault(a, []).append(b)
-    flow = 0
-    while flow < k:
-        parent = {s: s}
-        queue = [s]
-        while queue and t not in parent:
-            cur = queue.pop(0)
-            for nxt in adj.get(cur, ()):
-                if nxt not in parent and cap[(cur, nxt)] > 0:
-                    parent[nxt] = cur
-                    queue.append(nxt)
-        if t not in parent:
-            return False
-        cur = t
-        while cur != s:
-            prv = parent[cur]
-            cap[(prv, cur)] -= 1
-            cap[(cur, prv)] += 1  # symmetric arcs exist for undirected edges
-            cur = prv
-        flow += 1
-    return True
+    # both orientations of every edge carry capacity 1
+    cap = {(u, v): 1 for u in range(g.n) for v in _bits(g.rows[u])}
+    return _flow_at_least(cap, s, t, k)
 
 
 def is_k_edge_connected(g: Graph, k: int) -> bool:

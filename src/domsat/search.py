@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -259,7 +258,6 @@ def min_edges(
     n: int,
     predicate: str,
     *,
-    threads: int = 1,
     cache: SearchCache | str | Path | None = None,
     prune: bool = True,
     max_n: int = DEFAULT_MAX_N,
@@ -268,7 +266,7 @@ def min_edges(
 
     Exhaustive over isomorphism classes with at least one edge, level by
     level; witnesses are every passing class at the minimum, as sorted
-    canonical graph6 strings.  Deterministic for any thread count.
+    canonical graph6 strings.
     """
     predicate = _normalize_predicate(predicate)
     if pattern.edge_count == 0:
@@ -302,9 +300,6 @@ def min_edges(
     start = max(base, _sweep_start(n, info, predicate)) if prune else base
     top = n * (n - 1) // 2
 
-    def passes(g: Graph) -> bool:
-        return pred_fn(g, pattern).verdict
-
     for m in range(start, top + 1):
         classes = list(enumerate_graphs(n, m))
         examined += len(classes)
@@ -313,14 +308,7 @@ def min_edges(
             if prune
             else classes
         )
-        if not candidates:
-            continue
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                verdicts = list(pool.map(passes, candidates))
-        else:
-            verdicts = [passes(g) for g in candidates]
-        winners = [g for g, ok in zip(candidates, verdicts) if ok]
+        winners = [g for g in candidates if pred_fn(g, pattern).verdict]
         if winners:
             result = SearchResult(
                 pattern=pattern_g6,
@@ -345,7 +333,6 @@ def density_profile(
     n_max: int,
     predicate: str = "dom-sat",
     *,
-    threads: int = 1,
     cache: SearchCache | str | Path | None = None,
     max_n: int = DEFAULT_MAX_N,
 ) -> DensityProfile:
@@ -353,9 +340,7 @@ def density_profile(
     predicate = _normalize_predicate(predicate)
     rows = []
     for n in range(pattern.n, n_max + 1):
-        res = min_edges(
-            pattern, n, predicate, threads=threads, cache=cache, max_n=max_n
-        )
+        res = min_edges(pattern, n, predicate, cache=cache, max_n=max_n)
         rows.append((n, res.min_edges, Fraction(res.min_edges, n)))
     pattern_g6 = graph6_encode(canonical_form(pattern))
     return DensityProfile(pattern_g6, predicate, tuple(rows))

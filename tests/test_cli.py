@@ -73,16 +73,17 @@ def test_compute_values_and_cap():
     assert "cap" in capped.stderr
 
 
-def test_compute_is_byte_identical_across_threads():
-    outputs = set()
-    for threads in ("1", "2", "8"):
-        out = run_cli(
-            "compute", "--pattern", "Bw", "--n", "5", "--predicate", "dom-sat",
-            "--threads", threads, "--json",
-        )
-        assert out.returncode == 0
-        outputs.add(out.stdout)
-    assert len(outputs) == 1
+def test_compute_is_byte_identical_with_and_without_cache(tmp_path):
+    args = ("compute", "--pattern", "Bw", "--n", "5", "--predicate", "dom-sat")
+    for fmt in ((), ("--json",)):
+        cache = str(tmp_path / f"cache{len(fmt)}.jsonl")
+        outputs = set()
+        # no cache, then a cache miss that writes the entry, then a hit
+        for extra in ((), ("--cache", cache), ("--cache", cache)):
+            out = run_cli(*args, *fmt, *extra)
+            assert out.returncode == 0
+            outputs.add(out.stdout)
+        assert len(outputs) == 1
 
 
 def test_compute_json_parses_to_library_result():

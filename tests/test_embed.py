@@ -112,6 +112,11 @@ def test_count_invariant_under_host_relabeling(host, rnd):
         if pattern.n > host.n:
             continue
         assert count_copies(pattern, host) == count_copies(pattern, relabeled)
+        # existence and counting share one search kernel
+        for g in (host, relabeled):
+            assert (embedding_exists(pattern, g) is None) == (
+                count_embeddings(pattern, g) == 0
+            )
 
 
 def test_copy_through_edge_examples():

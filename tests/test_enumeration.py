@@ -18,12 +18,17 @@ KNOWN_TREES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
 
 def test_class_counts_match_known_totals():
     for n, total in KNOWN_TOTALS.items():
-        assert sum(class_count(n, m) for m in range(n * (n - 1) // 2 + 1)) == total
+        counts = [class_count(n, m) for m in range(n * (n - 1) // 2 + 1)]
+        assert sum(counts) == total
+        # complementation: count(n, m) == count(n, C(n,2) - m)
+        assert counts == counts[::-1]
 
 
 def test_seven_vertex_total():
     # 1044 graphs on 7 vertices; exercises deep levels of the generator
-    assert sum(class_count(7, m) for m in range(22)) == 1044
+    counts = [class_count(7, m) for m in range(22)]
+    assert sum(counts) == 1044
+    assert counts == counts[::-1]
 
 
 def test_small_levels():

@@ -110,10 +110,14 @@ def test_domination_monotonicity(pool):
             )
 
 
-def test_thread_count_does_not_change_results():
-    for threads in (1, 2, 8):
-        r = min_edges(K3, 5, "dom-sat", threads=threads)
-        assert r == min_edges(K3, 5, "dom-sat")
+def test_cache_does_not_change_results(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    for predicate in ("saturated", "semi-saturated", "dom-sat", "weakly-saturated"):
+        plain = json.dumps(min_edges(K3, 5, predicate).to_json_dict())
+        # a miss that stores the entry, then a hit from a fresh cache object
+        for cache in (path, SearchCache(path)):
+            r = min_edges(K3, 5, predicate, cache=cache)
+            assert json.dumps(r.to_json_dict()) == plain
 
 
 def test_search_result_json_round_trip():
