@@ -5,7 +5,11 @@ partition to equitability, branch on the first non-singleton cell, and
 keep the lexicographically least adjacency encoding over all leaves.
 Automorphisms discovered when two leaves collide prune sibling branches
 (orbit pruning restricted to generators fixing the individualized
-prefix), which keeps highly symmetric graphs from exploding.
+prefix), which keeps highly symmetric graphs from exploding.  The search
+returns those automorphisms with the form: canonical_form_with_generators
+hands them to enumeration, relabeled onto the canonical form.  They
+generate a subgroup of Aut (often all of it), which is enough to prune
+by orbits.
 
 automorphism_order is computed by a separate stabilizer chain: |Aut| is
 the product over v of the orbit size of v under the subgroup fixing
@@ -16,26 +20,46 @@ search.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
 from .graph6 import graph6_encode
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _trusted_graph
 
 
 def _refine(rows: tuple[int, ...], cells: list[int]) -> list[int]:
     """Coarsest equitable ordered partition refining cells."""
+    n = len(rows)
     cells = list(cells)
     queue = list(cells)
-    while queue:
+    # a discrete partition splits no further, so the rest of the queue is moot
+    while queue and len(cells) < n:
         splitter = queue.pop()
         new_cells: list[int] = []
+        if splitter & (splitter - 1) == 0:
+            # one vertex w: each cell splits into non-neighbours (key 0)
+            # then neighbours (key 1) of w, as the general case below would
+            adj = rows[splitter.bit_length() - 1]
+            for cell in cells:
+                inside = cell & adj
+                if inside and inside != cell:
+                    outside = cell ^ inside
+                    new_cells += (outside, inside)
+                    queue += (outside, inside)
+                else:
+                    new_cells.append(cell)
+            cells = new_cells
+            continue
         for cell in cells:
             if cell & (cell - 1) == 0:  # singleton
                 new_cells.append(cell)
                 continue
             groups: dict[int, int] = {}
-            for v in _bits(cell):
-                key = (rows[v] & splitter).bit_count()
-                groups[key] = groups.get(key, 0) | (1 << v)
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                key = (rows[low.bit_length() - 1] & splitter).bit_count()
+                groups[key] = groups.get(key, 0) | low
             if len(groups) == 1:
                 new_cells.append(cell)
             else:
@@ -55,31 +79,35 @@ def _encode(rows: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
     out = []
     for v in order:
         acc = 0
-        for w in _bits(rows[v]):
-            acc |= 1 << pos[w]
+        row = rows[v]
+        while row:
+            low = row & -row
+            row ^= low
+            acc |= 1 << pos[low.bit_length() - 1]
         out.append(acc)
     return tuple(out)
 
 
-def _orbit_roots(n: int, gens: list[tuple[int, ...]]) -> list[int]:
-    """Union-find roots of the vertex orbits under the group gens generate."""
-    parent = list(range(n))
+def _orbit_roots(n: int, gens: Sequence[Sequence[int]]) -> list[int]:
+    """The least point of each point's orbit under the group gens generate."""
+    roots = [-1] * n
+    for v in range(n):
+        if roots[v] < 0:
+            roots[v] = v
+            stack = [v]
+            while stack:
+                x = stack.pop()
+                for p in gens:
+                    y = p[x]
+                    if roots[y] < 0:
+                        roots[y] = v
+                        stack.append(y)
+    return roots
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for p in gens:
-        for v in range(n):
-            a, b = find(v), find(p[v])
-            if a != b:
-                parent[a] = b
-    return [find(v) for v in range(n)]
-
-
-def _canonical_order(g: Graph) -> list[int]:
+def _canonical_search(g: Graph) -> tuple[list[int], tuple[int, ...], list[tuple[int, ...]]]:
+    """The least leaf's vertex order, its encoding (the canonical form's
+    rows), and the automorphisms of g found when leaves collided."""
     rows = g.rows
     n = g.n
     best_enc: tuple[int, ...] | None = None
@@ -105,24 +133,32 @@ def _canonical_order(g: Graph) -> list[int]:
         rest = cells[idx + 1:]
         head = cells[:idx]
         tried: list[int] = []
+        # orbit roots under the automorphisms fixing the prefix; autos only
+        # grows, so they change only when it has grown since the last sibling
+        roots: list[int] | None = None
+        known = 0
         for v in _bits(target):
             if tried and autos:
-                gens = [p for p in autos if all(p[x] == x for x in fixed)]
-                if gens:
-                    roots = _orbit_roots(n, gens)
-                    if any(roots[v] == roots[u] for u in tried):
-                        continue
+                if len(autos) != known:
+                    known = len(autos)
+                    gens = [p for p in autos if all(p[x] == x for x in fixed)]
+                    roots = _orbit_roots(n, gens) if gens else None
+                if roots is not None and any(roots[v] == roots[u] for u in tried):
+                    continue
             tried.append(v)
             descend(head + [1 << v, target & ~(1 << v)] + rest, fixed + (v,))
 
     descend([g.vertex_mask], ())
-    assert best_order is not None
-    return best_order
+    # descend holds itself through its closure; breaking that cycle frees
+    # the search's lists now instead of at the next cycle collection
+    del descend
+    assert best_order is not None and best_enc is not None
+    return best_order, best_enc, autos
 
 
 def canonical_relabeling(g: Graph) -> tuple[int, ...]:
     """Permutation old -> new realizing the canonical form."""
-    order = _canonical_order(g)
+    order = _canonical_search(g)[0]
     perm = [0] * g.n
     for new, old in enumerate(order):
         perm[old] = new
@@ -135,7 +171,22 @@ def canonical_form(g: Graph) -> Graph:
     Isomorphic inputs map to identical outputs, the output is a
     relabeling of the input, and the map is idempotent.
     """
-    return g.relabel(canonical_relabeling(g))
+    return _trusted_graph(g.n, _canonical_search(g)[1])
+
+
+def canonical_form_with_generators(g: Graph) -> tuple[Graph, list[tuple[int, ...]]]:
+    """canonical_form(g) and automorphisms of it that the search found.
+
+    The automorphisms are permutations of the canonical labels; they
+    generate a subgroup of its automorphism group, possibly all of it.
+    """
+    order, enc, autos = _canonical_search(g)
+    perm = [0] * g.n
+    for new, old in enumerate(order):
+        perm[old] = new
+    # a in g's labels becomes b = perm a perm^-1: b[perm[v]] = perm[a[v]]
+    gens = [tuple(perm[a[v]] for v in order) for a in autos]
+    return _trusted_graph(g.n, enc), gens
 
 
 def canonical_graph6(g: Graph) -> str:

@@ -32,7 +32,10 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     rows[v] is the neighbor bitmask of v.  The relation is symmetric with
-    an empty diagonal; both are enforced at construction time.
+    an empty diagonal.  The public constructors (Graph(...), from_edges,
+    graph6_decode) validate their input; graphs derived from a valid graph
+    (add_edge, remove_edge, relabel, subgraph, complement, canonical forms)
+    are valid by construction and skip the check.
     """
 
     n: int
@@ -102,12 +105,14 @@ class Graph:
     def add_edge(self, u: int, v: int) -> "Graph":
         if u == v:
             raise ValueError("cannot add a self-loop")
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"edge ({u}, {v}) outside 0..{self.n - 1}")
         if self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) already present")
         rows = list(self.rows)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
+        return _trusted_graph(self.n, tuple(rows))
 
     def remove_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
@@ -115,7 +120,7 @@ class Graph:
         rows = list(self.rows)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        return Graph(self.n, tuple(rows))
+        return _trusted_graph(self.n, tuple(rows))
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Apply the vertex relabeling v -> perm[v]."""
@@ -123,12 +128,14 @@ class Graph:
             raise ValueError("relabeling is not a permutation of 0..n-1")
         rows = [0] * self.n
         for v in range(self.n):
-            pv = perm[v]
             acc = 0
-            for w in _bits(self.rows[v]):
-                acc |= 1 << perm[w]
-            rows[pv] = acc
-        return Graph(self.n, tuple(rows))
+            row = self.rows[v]
+            while row:
+                low = row & -row
+                row ^= low
+                acc |= 1 << perm[low.bit_length() - 1]
+            rows[perm[v]] = acc
+        return _trusted_graph(self.n, tuple(rows))
 
     def subgraph(self, mask: int) -> "Graph":
         """Induced subgraph on the vertices of mask, compactly relabeled.
@@ -145,15 +152,28 @@ class Graph:
             for w in _bits(self.rows[v] & mask):
                 acc |= 1 << index[w]
             rows.append(acc)
-        return Graph(len(verts), tuple(rows))
+        return _trusted_graph(len(verts), tuple(rows))
 
     def complement(self) -> "Graph":
         full = self.vertex_mask
         rows = tuple((full & ~self.rows[v]) & ~(1 << v) for v in range(self.n))
-        return Graph(self.n, rows)
+        return _trusted_graph(self.n, rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, edges={self.edges()})"
+
+
+# slot setters; they bypass the frozen dataclass's __setattr__
+_set_n = Graph.n.__set__
+_set_rows = Graph.rows.__set__
+
+
+def _trusted_graph(n: int, rows: tuple[int, ...]) -> Graph:
+    """Graph(n, rows) without validation, for rows derived from a valid graph."""
+    g = object.__new__(Graph)
+    _set_n(g, n)
+    _set_rows(g, rows)
+    return g
 
 
 # -- constructors ---------------------------------------------------------

@@ -16,6 +16,7 @@ from domsat import (
     path_graph,
     star_graph,
 )
+from domsat.canon import _orbit_roots, canonical_form_with_generators
 
 
 def test_relabeling_invariance_examples():
@@ -30,6 +31,23 @@ def test_relabeling_invariance(g, rnd):
     perm = list(range(g.n))
     rnd.shuffle(perm)
     assert canonical_form(g.relabel(perm)) == canonical_form(g)
+
+
+@given(graphs(max_n=8))
+@settings(max_examples=100, deadline=None)
+def test_generators_are_automorphisms_of_the_canonical_form(g):
+    c, gens = canonical_form_with_generators(g)
+    assert c == canonical_form(g)
+    for p in gens:
+        assert sorted(p) == list(range(g.n)) and c.relabel(p) == c
+
+
+def test_generators_reach_whole_orbits():
+    # K_{1,5}: every leaf lies in one orbit, the centre in another
+    c, gens = canonical_form_with_generators(star_graph(5))
+    centre = c.degrees().index(5)
+    orbits = _orbit_roots(c.n, gens)
+    assert len({orbits[v] for v in range(c.n) if v != centre}) == 1
 
 
 @given(graphs(max_n=7))

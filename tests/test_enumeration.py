@@ -1,12 +1,17 @@
+import hashlib
+
 import pytest
 
 from domsat import (
+    all_classes,
     are_isomorphic,
     canonical_form,
     class_count,
     complete_graph,
+    empty_graph,
     enumerate_graphs,
     enumerate_trees,
+    graph6_encode,
     path_graph,
     star_graph,
 )
@@ -29,6 +34,36 @@ def test_seven_vertex_total():
     counts = [class_count(7, m) for m in range(22)]
     assert sum(counts) == 1044
     assert counts == counts[::-1]
+
+
+def _levels_extending_every_non_edge(n):
+    """Levels built without orbit pruning: every one-edge extension of
+    every class is canonicalised."""
+    levels = [[empty_graph(n)]]
+    for _ in range(n * (n - 1) // 2):
+        seen = set()
+        nxt = []
+        for parent in levels[-1]:
+            for e in parent.non_edges():
+                child = canonical_form(parent.add_edge(*e))
+                if child not in seen:
+                    seen.add(child)
+                    nxt.append(child)
+        nxt.sort(key=graph6_encode)
+        levels.append(nxt)
+    return levels
+
+
+def test_orbit_pruned_levels_equal_full_extension():
+    for n in range(1, 7):
+        levels = [list(enumerate_graphs(n, m)) for m in range(n * (n - 1) // 2 + 1)]
+        assert levels == _levels_extending_every_non_edge(n)
+
+
+def test_seven_vertex_stream_digest():
+    # pins the classes, their canonical labels and the stream order
+    text = "\n".join(graph6_encode(g) for g in all_classes(7))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "5e89f2e4a4c60b7e"
 
 
 def test_small_levels():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from conftest import graphs
 from domsat import (
     Graph,
     bridges,
+    canonical_form,
     complete_bipartite,
     complete_graph,
     component_graphs,
@@ -43,7 +46,41 @@ def test_graph_validation():
     with pytest.raises(ValueError):
         Graph(1, (1,))  # self-loop
     with pytest.raises(ValueError):
+        Graph(2, (0b100, 0))  # bit outside 0..n-1
+    with pytest.raises(ValueError):
+        Graph(3, (0, 0))  # row count differs from n
+    with pytest.raises(ValueError):
         from_edges(2, [(0, 0)])
+    with pytest.raises(ValueError):
+        from_edges(2, [(0, 2)])
+
+
+def test_derived_graphs_pass_full_validation():
+    # derived graphs and canonical forms skip validation; rebuilding them
+    # through Graph(...) must accept them and give an equal, equal-hash graph
+    rnd = random.Random(20261018)
+    for _ in range(60):
+        n = rnd.randint(1, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = from_edges(n, [e for e in pairs if rnd.random() < 0.4])
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        derived = [g.relabel(perm), g.complement(), g.subgraph(rnd.randrange(1, 1 << n))]
+        derived.append(canonical_form(g))
+        derived += [g.add_edge(u, v) for u, v in g.non_edges()]
+        derived += [g.remove_edge(u, v) for u, v in g.edges()]
+        for h in derived:
+            rebuilt = Graph(h.n, h.rows)
+            assert rebuilt == h and hash(rebuilt) == hash(h)
+    g = path_graph(3)
+    with pytest.raises(ValueError):
+        g.add_edge(1, 1)
+    with pytest.raises(ValueError):
+        g.add_edge(0, 3)  # vertex outside 0..n-1
+    with pytest.raises(ValueError):
+        g.relabel([0, 0, 1])
+    with pytest.raises(ValueError):
+        g.relabel([0, 1])
 
 
 def test_basic_queries():
