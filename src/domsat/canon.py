@@ -5,16 +5,21 @@ partition to equitability, branch on the first non-singleton cell, and
 keep the lexicographically least adjacency encoding over all leaves.
 Automorphisms discovered when two leaves collide prune sibling branches
 (orbit pruning restricted to generators fixing the individualized
-prefix), which keeps highly symmetric graphs from exploding.  The search
-returns those automorphisms with the form: canonical_form_with_generators
-hands them to enumeration, relabeled onto the canonical form.  They
-generate a subgroup of Aut (often all of it), which is enough to prune
-by orbits.
+prefix), which keeps highly symmetric graphs from exploding.
 
-automorphism_order is computed by a separate stabilizer chain: |Aut| is
-the product over v of the orbit size of v under the subgroup fixing
-0..v-1 pointwise, each membership decided by a color-pruned backtracking
-search.
+One search yields the canonical form, generators of Aut and |Aut|
+(McKay and Piperno, "Practical graph isomorphism, II", J. Symbolic
+Comput. 60, 2014).  Take the path v_1..v_d to the first leaf with the
+least encoding.  At each node on it, a sibling in the same Aut-orbit as
+the path child is either explored or pruned.  An explored sibling's
+subtree keeps a least leaf, and the search then records an automorphism
+that fixes the prefix and maps the path child to the sibling; a pruned
+sibling already lies in that orbit under the automorphisms found.  So
+the found automorphisms fixing v_1..v_{k-1} move v_k over its whole
+orbit under that prefix's stabilizer, they generate Aut, and |Aut| is
+the product of those orbit sizes (only the identity fixes the path,
+since its leaf is discrete).  canonical_form_with_generators hands the
+generators to enumeration, relabeled onto the canonical form.
 """
 
 from __future__ import annotations
@@ -105,24 +110,32 @@ def _orbit_roots(n: int, gens: Sequence[Sequence[int]]) -> list[int]:
     return roots
 
 
-def _canonical_search(g: Graph) -> tuple[list[int], tuple[int, ...], list[tuple[int, ...]]]:
+@lru_cache(maxsize=1)
+def _canonical_search(
+    g: Graph,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The least leaf's vertex order, its encoding (the canonical form's
-    rows), and the automorphisms of g found when leaves collided."""
+    rows), the automorphisms of g found when leaves collided, and the
+    vertices individualized on the way to the first least leaf.
+
+    The last result is cached, so the readers below share one search
+    when they ask about the same graph in a row."""
     rows = g.rows
     n = g.n
     best_enc: tuple[int, ...] | None = None
     best_order: list[int] | None = None
+    best_fixed: tuple[int, ...] = ()
     autos: list[tuple[int, ...]] = []
 
     def descend(cells: list[int], fixed: tuple[int, ...]) -> None:
-        nonlocal best_enc, best_order
+        nonlocal best_enc, best_order, best_fixed
         cells = _refine(rows, cells)
         target = next((c for c in cells if c & (c - 1)), 0)
         if not target:
             order = [c.bit_length() - 1 for c in cells]
             enc = _encode(rows, order)
             if best_enc is None or enc < best_enc:
-                best_enc, best_order = enc, order
+                best_enc, best_order, best_fixed = enc, order, fixed
             elif enc == best_enc:
                 perm = [0] * n
                 for i in range(n):
@@ -153,7 +166,7 @@ def _canonical_search(g: Graph) -> tuple[list[int], tuple[int, ...], list[tuple[
     # the search's lists now instead of at the next cycle collection
     del descend
     assert best_order is not None and best_enc is not None
-    return best_order, best_enc, autos
+    return tuple(best_order), best_enc, tuple(autos), best_fixed
 
 
 def canonical_relabeling(g: Graph) -> tuple[int, ...]:
@@ -177,13 +190,11 @@ def canonical_form(g: Graph) -> Graph:
 def canonical_form_with_generators(g: Graph) -> tuple[Graph, list[tuple[int, ...]]]:
     """canonical_form(g) and automorphisms of it that the search found.
 
-    The automorphisms are permutations of the canonical labels; they
-    generate a subgroup of its automorphism group, possibly all of it.
+    The automorphisms are permutations of the canonical labels, and they
+    generate its whole automorphism group.
     """
-    order, enc, autos = _canonical_search(g)
-    perm = [0] * g.n
-    for new, old in enumerate(order):
-        perm[old] = new
+    order, enc, autos, _ = _canonical_search(g)
+    perm = canonical_relabeling(g)
     # a in g's labels becomes b = perm a perm^-1: b[perm[v]] = perm[a[v]]
     gens = [tuple(perm[a[v]] for v in order) for a in autos]
     return _trusted_graph(g.n, enc), gens
@@ -198,74 +209,15 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 @lru_cache(maxsize=4096)
-def _color_classes(g: Graph) -> tuple[int, ...]:
-    cells = _refine(g.rows, [g.vertex_mask])
-    color = [0] * g.n
-    for i, cell in enumerate(cells):
-        for v in _bits(cell):
-            color[v] = i
-    return tuple(color)
-
-
-def _extends_to_automorphism(g: Graph, forced: dict[int, int]) -> bool:
-    """Is there an automorphism of g extending the partial map forced?"""
-    n = g.n
-    rows = g.rows
-    color = _color_classes(g)
-
-    image = [-1] * n
-    used = 0
-    for a, b in forced.items():
-        if color[a] != color[b] or used >> b & 1:
-            return False
-        image[a] = b
-        used |= 1 << b
-
-    def consistent(v: int, w: int) -> bool:
-        # w must relate to every already-placed image exactly as v does
-        for u in range(n):
-            t = image[u]
-            if t == -1 or u == v:
-                continue
-            if (rows[v] >> u & 1) != (rows[w] >> t & 1):
-                return False
-        return True
-
-    for a in forced:
-        if not consistent(a, image[a]):
-            return False
-
-    todo = [v for v in range(n) if image[v] == -1]
-
-    def rec(i: int, used: int) -> bool:
-        if i == len(todo):
-            return True
-        v = todo[i]
-        for w in range(n):
-            if used >> w & 1 or color[w] != color[v]:
-                continue
-            if consistent(v, w):
-                image[v] = w
-                if rec(i + 1, used | 1 << w):
-                    return True
-                image[v] = -1
-        return False
-
-    return rec(0, used)
-
-
-@lru_cache(maxsize=4096)
 def automorphism_order(g: Graph) -> int:
-    """|Aut(g)| via the orbit-stabilizer chain over vertices 0, 1, ..."""
+    """|Aut(g)|: the product, along the search's path v_1..v_d, of the
+    orbit size of v_k under the found automorphisms fixing v_1..v_{k-1}."""
+    _, _, gens, path = _canonical_search(g)
     order = 1
-    fixed: dict[int, int] = {}
-    for v in range(g.n):
-        orbit = 0
-        for u in range(g.n):
-            probe = dict(fixed)
-            probe[v] = u
-            if _extends_to_automorphism(g, probe):
-                orbit += 1
-        order *= orbit
-        fixed[v] = v
+    for v in path:
+        if not gens:
+            break
+        roots = _orbit_roots(g.n, gens)
+        order *= roots.count(roots[v])
+        gens = tuple(p for p in gens if p[v] == v)
     return order

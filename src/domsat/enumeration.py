@@ -6,10 +6,10 @@ with m-1 edges, deduplicated.  Each class is extended by one non-edge
 per orbit of its automorphism group on non-edges, since the children in
 one orbit are isomorphic (McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 26, 1998).  The group comes as the generators that the
-canonical labelling search found for the class; a generating set that
-misses part of the group only prunes less.  Levels are cached per n and
-streamed in graph6 order, so repeated sweeps are cheap; generators are
-kept for the last level only.
+canonical labelling search found for the class, which generate all of
+it (see canon.py).  Levels are cached per n and streamed in graph6
+order, so repeated sweeps are cheap; generators are kept for the last
+level only.
 
 The independent anti-hallucination oracle lives in oracle.py and shares
 no code with this path.

@@ -12,6 +12,7 @@ for small minimum-edge reruns driven by edge-subset enumeration.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from .graphs import Graph, from_edges
@@ -24,19 +25,18 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
-def _perm_bit_maps(n: int) -> list[list[int]]:
+@lru_cache(maxsize=None)
+def _perm_bit_maps(n: int) -> tuple[tuple[int, ...], ...]:
     """For each permutation, where each pair-bit position lands."""
     pairs = _pairs(n)
     index = {p: i for i, p in enumerate(pairs)}
-    maps = []
-    for perm in permutations(range(n)):
-        maps.append(
-            [index[tuple(sorted((perm[u], perm[v])))] for (u, v) in pairs]
-        )
-    return maps
+    return tuple(
+        tuple(index[tuple(sorted((perm[u], perm[v])))] for (u, v) in pairs)
+        for perm in permutations(range(n))
+    )
 
 
-def _remap(code: int, bit_map: list[int]) -> int:
+def _remap(code: int, bit_map: tuple[int, ...]) -> int:
     out = 0
     i = 0
     while code:
@@ -47,12 +47,9 @@ def _remap(code: int, bit_map: list[int]) -> int:
     return out
 
 
-def perm_canonical_key(n: int, code: int, _maps_cache: dict = {}) -> int:
+def perm_canonical_key(n: int, code: int) -> int:
     """Minimum relabeling of the pair-bit code over all permutations."""
-    maps = _maps_cache.get(n)
-    if maps is None:
-        maps = _maps_cache[n] = _perm_bit_maps(n)
-    return min(_remap(code, bm) for bm in maps)
+    return min(_remap(code, bm) for bm in _perm_bit_maps(n))
 
 
 def _graph_from_code(n: int, code: int) -> Graph:

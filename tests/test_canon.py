@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations
 
 from hypothesis import given, settings
@@ -16,7 +17,15 @@ from domsat import (
     path_graph,
     star_graph,
 )
-from domsat.canon import _orbit_roots, canonical_form_with_generators
+from domsat.canon import (
+    _canonical_search,
+    _orbit_roots,
+    canonical_form_with_generators,
+    canonical_relabeling,
+)
+from domsat.constructions import cycle_gadget
+from domsat.embed import count_embeddings
+from domsat.enumeration import all_classes
 
 
 def test_relabeling_invariance_examples():
@@ -92,6 +101,52 @@ def test_automorphism_orders_named():
 @settings(max_examples=60, deadline=None)
 def test_automorphism_order_matches_brute_force(g):
     assert automorphism_order(g) == _brute_aut(g)
+
+
+def test_automorphism_order_equals_self_embedding_count():
+    # an injective edge-preserving self-map of a finite graph is an
+    # automorphism, and the embedding kernel shares no code with canon
+    rnd = random.Random(11)
+    for n in range(1, 8):
+        for g in all_classes(n):
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            h = g.relabel(perm)
+            assert automorphism_order(g) == automorphism_order(h) == count_embeddings(g, g)
+
+
+def _clear_canon_caches():
+    _canonical_search.cache_clear()
+    automorphism_order.cache_clear()
+
+
+def _fresh(reader, g):
+    _clear_canon_caches()
+    return reader(g)
+
+
+def test_automorphism_order_under_relabelling_and_one_shared_search():
+    g = cycle_gadget(23, 5, 2)
+    assert automorphism_order(g) == 4_354_560
+    perm = list(range(g.n))
+    random.Random(0).shuffle(perm)
+    assert automorphism_order(g.relabel(perm)) == 4_354_560
+    # the readers share one cached search; none may disturb another
+    readers = [
+        canonical_form,
+        canonical_form_with_generators,
+        canonical_relabeling,
+        automorphism_order,
+        canonical_relabeling,
+        canonical_form_with_generators,
+        canonical_form,
+    ]
+    _clear_canon_caches()
+    got = [reader(g) for reader in readers]
+    assert got == [_fresh(reader, g) for reader in readers]
+    form, gens = got[1]
+    assert g.relabel(got[2]) == form
+    assert all(form.relabel(p) == form for p in gens)
 
 
 def test_are_isomorphic():
