@@ -88,7 +88,6 @@ from .predicates import (
 from .search import (
     DensityProfile,
     LemmaSuiteReport,
-    SearchCache,
     SearchCapError,
     SearchResult,
     density_profile,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -35,13 +34,10 @@ from .predicates import PREDICATES, run_predicate
 from .search import (
     DEFAULT_MAX_N,
     SEARCH_PREDICATES,
-    SearchCache,
     density_profile,
     min_edges,
 )
 from .verify import SUITES
-
-CACHE_ENV = "DOMSAT_CACHE"
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -59,11 +55,6 @@ def _decode_arg(text: str, what: str) -> Graph:
         return graph6_decode(text)
     except Graph6Error as exc:
         raise _CliError(f"bad {what}: {exc}") from exc
-
-
-def _cache_from(args) -> SearchCache | None:
-    path = args.cache or os.environ.get(CACHE_ENV)
-    return SearchCache(path) if path else None
 
 
 def _emit_json(data: dict) -> None:
@@ -93,13 +84,7 @@ def _cmd_check(args) -> int:
 def _cmd_compute(args) -> int:
     pattern = _decode_arg(args.pattern, "--pattern")
     try:
-        result = min_edges(
-            pattern,
-            args.n,
-            args.predicate,
-            cache=_cache_from(args),
-            max_n=args.max_n,
-        )
+        result = min_edges(pattern, args.n, args.predicate, max_n=args.max_n)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
     if args.json:
@@ -219,13 +204,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_profile(args) -> int:
     pattern = _decode_arg(args.pattern, "--pattern")
     try:
-        prof = density_profile(
-            pattern,
-            args.n_max,
-            args.predicate,
-            cache=_cache_from(args),
-            max_n=args.max_n,
-        )
+        prof = density_profile(pattern, args.n_max, args.predicate, max_n=args.max_n)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
     if args.json:
@@ -286,9 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit JSON on stdout")
 
     search_common = argparse.ArgumentParser(add_help=False)
-    search_common.add_argument(
-        "--cache", default=None, help=f"result cache path (default ${CACHE_ENV})"
-    )
     search_common.add_argument(
         "--max-n",
         type=int,

@@ -7,9 +7,10 @@ per orbit of its automorphism group on non-edges, since the children in
 one orbit are isomorphic (McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 26, 1998).  The group comes as the generators that the
 canonical labelling search found for the class, which generate all of
-it (see canon.py).  Levels are cached per n and streamed in graph6
-order, so repeated sweeps are cheap; generators are kept for the last
-level only.
+it (see canon.py).  Levels are cached per n for the life of the
+process and streamed in graph6 order, so repeated sweeps are cheap;
+generators are kept for the last level only.  The cache takes no lock:
+callers are single-threaded.
 
 The independent anti-hallucination oracle lives in oracle.py and shares
 no code with this path.
@@ -17,7 +18,6 @@ no code with this path.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterator
 
 from .canon import _orbit_roots, canonical_form_with_generators
@@ -30,7 +30,6 @@ Generators = list[tuple[int, ...]]
 
 _levels: dict[int, list[list[Graph]]] = {}
 _frontier_gens: dict[int, list[Generators]] = {}  # per class of the last level
-_levels_lock = threading.Lock()
 
 
 def _symmetric_group_gens(n: int) -> Generators:
@@ -58,20 +57,19 @@ def _non_edge_orbit_reps(g: Graph, gens: Generators) -> list[tuple[int, int]]:
 
 
 def _extend_levels(n: int, m: int) -> list[list[Graph]]:
-    with _levels_lock:
-        levels = _levels.get(n)
-        if levels is None:
-            levels = _levels[n] = [[empty_graph(n)]]
-            _frontier_gens[n] = [_symmetric_group_gens(n)]
-        while len(levels) <= m:
-            found: dict[Graph, Generators] = {}
-            for parent, gens in zip(levels[-1], _frontier_gens[n]):
-                for u, v in _non_edge_orbit_reps(parent, gens):
-                    child, child_gens = canonical_form_with_generators(parent.add_edge(u, v))
-                    found.setdefault(child, child_gens)
-            nxt = sorted(found, key=graph6_encode)
-            levels.append(nxt)
-            _frontier_gens[n] = [found[g] for g in nxt]
+    levels = _levels.get(n)
+    if levels is None:
+        levels = _levels[n] = [[empty_graph(n)]]
+        _frontier_gens[n] = [_symmetric_group_gens(n)]
+    while len(levels) <= m:
+        found: dict[Graph, Generators] = {}
+        for parent, gens in zip(levels[-1], _frontier_gens[n]):
+            for u, v in _non_edge_orbit_reps(parent, gens):
+                child, child_gens = canonical_form_with_generators(parent.add_edge(u, v))
+                found.setdefault(child, child_gens)
+        nxt = sorted(found, key=graph6_encode)
+        levels.append(nxt)
+        _frontier_gens[n] = [found[g] for g in nxt]
     return levels
 
 

@@ -72,9 +72,6 @@ class Graph:
     def min_degree(self) -> int:
         return min(self.degrees())
 
-    def max_degree(self) -> int:
-        return max(self.degrees())
-
     @property
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2

@@ -7,13 +7,18 @@ with enumeration.py or canon.py, so agreement between the two pipelines
 is a real cross-check rather than a tautology.
 
 Intended for n <= 6 (class counting sweeps the whole 2^C(n,2) space) and
-for small minimum-edge reruns driven by edge-subset enumeration.
+for small minimum-edge reruns driven by edge-subset enumeration.  For
+larger n, level_counts gives the class counts by Burnside's lemma
+without building any graph.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import factorial, gcd
+from typing import Iterator
 
 from .graphs import Graph, from_edges
 from .predicates import run_predicate
@@ -77,6 +82,51 @@ def labeled_class_counts(n: int) -> dict[int, int]:
         for bm in maps:
             seen[_remap(code, bm)] = 1
     return counts
+
+
+def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into non-increasing parts of size at most largest."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def level_counts(n: int) -> list[int]:
+    """Isomorphism class counts of n-vertex graphs, indexed by edge count.
+
+    Burnside's lemma over S_n acting on edge sets (Harary and Palmer,
+    Graphical Enumeration, 1973; OEIS A008406): a permutation fixes an
+    edge set exactly when the set is a union of its cycles on vertex
+    pairs, so each cycle type contributes prod (1 + x^len) over its pair
+    cycles, weighted by the number of permutations of that type.
+    """
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    top = n * (n - 1) // 2
+    totals = [0] * (top + 1)
+    for cycles in _partitions(n, n):
+        pair_cycles = []
+        for i, a in enumerate(cycles):
+            pair_cycles += [a] * ((a - 1) // 2)  # pairs inside one a-cycle
+            if a % 2 == 0:
+                pair_cycles.append(a // 2)  # its a/2 antipodal pairs
+            for b in cycles[i + 1:]:
+                g = gcd(a, b)
+                pair_cycles += [a * b // g] * g
+        fixed = [1] + [0] * top  # fixed edge sets by size
+        for length in pair_cycles:
+            for m in range(top, length - 1, -1):
+                fixed[m] += fixed[m - length]
+        centralizer = 1
+        for a, j in Counter(cycles).items():
+            centralizer *= a**j * factorial(j)
+        perms_of_type = factorial(n) // centralizer
+        for m in range(top + 1):
+            totals[m] += perms_of_type * fixed[m]
+    return [t // factorial(n) for t in totals]
 
 
 def naive_min_edges(

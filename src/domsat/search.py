@@ -14,21 +14,17 @@ can be checked by comparison.
 
 from __future__ import annotations
 
-import json
-import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 
 from .canon import canonical_form
 from .enumeration import enumerate_graphs, enumerate_trees
-from .graph6 import graph6_decode, graph6_encode
+from .graph6 import graph6_encode
 from .graphs import Graph, component_graphs
 from .predicates import (
     PREDICATES,
     lemma_tree_witness,
-    run_predicate,
     tree_witness_ok,
 )
 
@@ -51,8 +47,8 @@ class SearchResult:
     graphs_examined: int
     elapsed: float = field(default=0.0, compare=False)
 
-    def to_json_dict(self, include_elapsed: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "schema": "domsat/1",
             "pattern": self.pattern,
             "n": self.n,
@@ -61,9 +57,6 @@ class SearchResult:
             "witnesses": list(self.witnesses),
             "graphs_examined": self.graphs_examined,
         }
-        if include_elapsed:
-            out["elapsed"] = self.elapsed
-        return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SearchResult":
@@ -74,7 +67,6 @@ class SearchResult:
             min_edges=int(data["min_edges"]),
             witnesses=tuple(data["witnesses"]),
             graphs_examined=int(data["graphs_examined"]),
-            elapsed=float(data.get("elapsed", 0.0)),
         )
 
 
@@ -178,69 +170,6 @@ def _passes_floor(g: Graph, info: _PatternInfo, predicate: str) -> bool:
     return True
 
 
-# -- result cache ------------------------------------------------------------
-
-
-class SearchCache:
-    """Append-only JSON-lines store of search results.
-
-    Hits are re-verified (every witness must decode, have the recorded
-    size, and pass the predicate) before they are trusted; unparseable
-    or foreign lines are skipped.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._entries: dict[tuple[str, int, str], dict] | None = None
-        self._lock = threading.Lock()
-
-    def _load(self) -> dict[tuple[str, int, str], dict]:
-        if self._entries is None:
-            self._entries = {}
-            if self.path.exists():
-                for line in self.path.read_text().splitlines():
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        data = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue
-                    if data.get("schema") != "domsat/1":
-                        continue
-                    key = (data["pattern"], int(data["n"]), data["predicate"])
-                    self._entries[key] = data
-        return self._entries
-
-    def lookup(self, key: tuple[str, int, str]) -> dict | None:
-        with self._lock:
-            return self._load().get(key)
-
-    def store(self, data: dict) -> None:
-        key = (data["pattern"], int(data["n"]), data["predicate"])
-        with self._lock:
-            self._load()[key] = data
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a") as fh:
-                fh.write(json.dumps(data, sort_keys=True) + "\n")
-
-
-def _verify_cached(data: dict, pattern: Graph, predicate: str) -> SearchResult | None:
-    try:
-        result = SearchResult.from_json_dict(data)
-        if result.min_edges < 0 or not result.witnesses:
-            return None
-        for g6 in result.witnesses:
-            g = graph6_decode(g6)
-            if g.n != result.n or g.edge_count != result.min_edges:
-                return None
-            if not run_predicate(predicate, g, pattern).verdict:
-                return None
-        return result
-    except (ValueError, KeyError):
-        return None
-
-
 # -- the search itself -------------------------------------------------------
 
 
@@ -258,7 +187,6 @@ def min_edges(
     n: int,
     predicate: str,
     *,
-    cache: SearchCache | str | Path | None = None,
     prune: bool = True,
     max_n: int = DEFAULT_MAX_N,
 ) -> SearchResult:
@@ -266,7 +194,8 @@ def min_edges(
 
     Exhaustive over isomorphism classes with at least one edge, level by
     level; witnesses are every passing class at the minimum, as sorted
-    canonical graph6 strings.
+    canonical graph6 strings.  There is no result store: every returned
+    minimum is certified by the sweep run in this call.
     """
     predicate = _normalize_predicate(predicate)
     if pattern.edge_count == 0:
@@ -277,21 +206,6 @@ def min_edges(
         raise SearchCapError(f"order {n} above the search cap {max_n}")
 
     pattern_g6 = graph6_encode(canonical_form(pattern))
-    key = (pattern_g6, n, predicate)
-    store: SearchCache | None
-    if cache is None:
-        store = None
-    elif isinstance(cache, SearchCache):
-        store = cache
-    else:
-        store = SearchCache(cache)
-    if store is not None:
-        hit = store.lookup(key)
-        if hit is not None:
-            verified = _verify_cached(hit, pattern, predicate)
-            if verified is not None:
-                return verified
-
     info = _pattern_info(pattern)
     pred_fn = PREDICATES[predicate]
     started = time.perf_counter()
@@ -310,7 +224,7 @@ def min_edges(
         )
         winners = [g for g in candidates if pred_fn(g, pattern).verdict]
         if winners:
-            result = SearchResult(
+            return SearchResult(
                 pattern=pattern_g6,
                 n=n,
                 predicate=predicate,
@@ -319,9 +233,6 @@ def min_edges(
                 graphs_examined=examined,
                 elapsed=time.perf_counter() - started,
             )
-            if store is not None:
-                store.store(result.to_json_dict(include_elapsed=True))
-            return result
     raise RuntimeError(
         "no graph passed at any edge count; this predicate should always "
         "be satisfiable"
@@ -333,14 +244,13 @@ def density_profile(
     n_max: int,
     predicate: str = "dom-sat",
     *,
-    cache: SearchCache | str | Path | None = None,
     max_n: int = DEFAULT_MAX_N,
 ) -> DensityProfile:
     """min_edges rows for every order from the pattern's up to n_max."""
     predicate = _normalize_predicate(predicate)
     rows = []
     for n in range(pattern.n, n_max + 1):
-        res = min_edges(pattern, n, predicate, cache=cache, max_n=max_n)
+        res = min_edges(pattern, n, predicate, max_n=max_n)
         rows.append((n, res.min_edges, Fraction(res.min_edges, n)))
     pattern_g6 = graph6_encode(canonical_form(pattern))
     return DensityProfile(pattern_g6, predicate, tuple(rows))

@@ -15,14 +15,23 @@ from domsat import (
     path_graph,
     star_graph,
 )
-from domsat.oracle import labeled_class_counts, naive_min_edges, perm_canonical_key
+from domsat.oracle import (
+    labeled_class_counts,
+    level_counts,
+    naive_min_edges,
+    perm_canonical_key,
+)
 
-KNOWN_TOTALS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+# OEIS A000088: graphs on n vertices
+KNOWN_TOTALS = {
+    1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346, 9: 274668, 10: 12005168,
+}
 KNOWN_TREES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
 
 
 def test_class_counts_match_known_totals():
-    for n, total in KNOWN_TOTALS.items():
+    for n in range(1, 7):
+        total = KNOWN_TOTALS[n]
         counts = [class_count(n, m) for m in range(n * (n - 1) // 2 + 1)]
         assert sum(counts) == total
         # complementation: count(n, m) == count(n, C(n,2) - m)
@@ -111,6 +120,22 @@ def test_oracle_counts_agree_with_fast_path():
             if class_count(n, m)
         }
         assert labeled_class_counts(n) == fast
+
+
+def test_burnside_level_counts_totals_and_complement_symmetry():
+    for n, total in KNOWN_TOTALS.items():
+        counts = level_counts(n)
+        assert len(counts) == n * (n - 1) // 2 + 1
+        assert sum(counts) == total
+        assert counts == counts[::-1]
+
+
+@pytest.mark.parametrize("n, m_max", [(1, 0), (2, 1), (3, 3), (4, 6), (5, 10), (6, 15),
+                                      (7, 21), (8, 12), (9, 10), (10, 8)])
+def test_burnside_level_counts_match_enumeration(n, m_max):
+    # every level for n <= 7; the low levels, which the searches sweep, above
+    counts = level_counts(n)
+    assert [class_count(n, m) for m in range(m_max + 1)] == counts[: m_max + 1]
 
 
 def test_perm_canonical_key_is_class_invariant():

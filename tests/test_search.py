@@ -5,7 +5,6 @@ import pytest
 
 from domsat import (
     DensityProfile,
-    SearchCache,
     SearchCapError,
     SearchResult,
     are_isomorphic,
@@ -19,6 +18,8 @@ from domsat import (
     star_graph,
     verify_lemma_suite,
 )
+from domsat import enumeration
+from domsat.search import SEARCH_PREDICATES
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -110,14 +111,15 @@ def test_domination_monotonicity(pool):
             )
 
 
-def test_cache_does_not_change_results(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    for predicate in ("saturated", "semi-saturated", "dom-sat", "weakly-saturated"):
-        plain = json.dumps(min_edges(K3, 5, predicate).to_json_dict())
-        # a miss that stores the entry, then a hit from a fresh cache object
-        for cache in (path, SearchCache(path)):
-            r = min_edges(K3, 5, predicate, cache=cache)
-            assert json.dumps(r.to_json_dict()) == plain
+def test_cold_and_warm_levels_give_identical_results():
+    # the per-process level store is the only cache: a sweep over freshly
+    # built levels and one over levels already built must agree exactly
+    for predicate in SEARCH_PREDICATES:
+        enumeration._levels.pop(5, None)
+        enumeration._frontier_gens.pop(5, None)
+        cold = json.dumps(min_edges(K3, 5, predicate).to_json_dict())
+        warm = json.dumps(min_edges(K3, 5, predicate).to_json_dict())
+        assert warm == cold
 
 
 def test_search_result_json_round_trip():
@@ -125,30 +127,6 @@ def test_search_result_json_round_trip():
     back = SearchResult.from_json_dict(r.to_json_dict())
     assert back == r
     assert "elapsed" not in r.to_json_dict()
-    assert "elapsed" in r.to_json_dict(include_elapsed=True)
-
-
-def test_cache_round_trip(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    first = min_edges(K3, 5, "dom-sat", cache=path)
-    assert path.exists()
-    again = min_edges(K3, 5, "dom-sat", cache=path)
-    assert again == first
-    # a fresh cache object re-reads the file and re-verifies witnesses
-    fresh = SearchCache(path)
-    hit = min_edges(K3, 5, "dom-sat", cache=fresh)
-    assert hit == first
-
-
-def test_cache_rejects_tampered_entries(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    real = min_edges(K3, 5, "dom-sat", cache=path)
-    data = real.to_json_dict(include_elapsed=True)
-    data["min_edges"] = 3
-    data["witnesses"] = [data["witnesses"][0]]
-    path.write_text("not json\n" + json.dumps(data) + "\n")
-    recomputed = min_edges(K3, 5, "dom-sat", cache=path)
-    assert recomputed.min_edges == real.min_edges
 
 
 def test_density_profile():
