@@ -51,7 +51,6 @@ from .enumeration import all_classes, class_count, enumerate_graphs, enumerate_t
 from .graph6 import Graph6Error, graph6_decode, graph6_encode
 from .graphs import (
     Graph,
-    StructuralSummary,
     bridges,
     complete_bipartite,
     complete_graph,
@@ -70,7 +69,6 @@ from .graphs import (
     join,
     path_graph,
     star_graph,
-    structural_queries,
 )
 from .predicates import (
     PredicateReport,

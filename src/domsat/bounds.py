@@ -13,17 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .canon import are_isomorphic
-from .constructions import bridge_pair_order
-from .graphs import (
-    Graph,
-    _bits,
-    bridges,
-    component_graphs,
-    disjoint_union,
-    from_edges,
-    star_graph,
-)
+from .constructions import _clique_pair, bridge_pair_order, neighborhood_scan
+from .graphs import Graph, _bits, bridges, component_graphs, disjoint_union, is_star
 from .predicates import is_dom_sat
 
 
@@ -73,15 +64,6 @@ class BoundSet:
             "consistent": self.consistent,
             "notes": list(self.notes),
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BoundSet":
-        def dec(items):
-            return tuple(
-                Bound(Fraction(b["num"], b["den"]), b["source"]) for b in items
-            )
-
-        return cls(dec(data["lower"]), dec(data["upper"]), tuple(data["notes"]))
 
 
 def sat_clique(n: int, r: int) -> int:
@@ -186,24 +168,10 @@ def _certified_pair_order(f: Graph) -> tuple[int | None, int | None]:
     for r in range(stated, f.n + 1):
         if 4 * r > 64:
             break
-        edges = [(u, v) for u in range(r) for v in range(u + 1, r)]
-        edges += [(r + u, r + v) for u in range(r) for v in range(u + 1, r)]
-        edges.append((r - 1, r))
-        pair = from_edges(2 * r, edges)
+        pair = _clique_pair(r)
         if is_dom_sat(disjoint_union([pair, pair]), f).verdict:
             return r, stated
     return None, stated
-
-
-def _neighborhood_bound(f: Graph) -> Fraction | None:
-    best = None
-    delta = f.min_degree()
-    for u, w in f.edges():
-        k = (f.rows[u] | f.rows[w]).bit_count() - 2
-        value = Fraction(k) + (Fraction(1, 2) if delta == k + 1 else 0)
-        if best is None or value < best:
-            best = value
-    return best
 
 
 def _cut_pair_bound(f: Graph, max_union: int = 6) -> Fraction | None:
@@ -238,13 +206,6 @@ def _cut_pair_bound(f: Graph, max_union: int = 6) -> Fraction | None:
     return best
 
 
-def _star_order(f: Graph) -> int | None:
-    """r when f is isomorphic to K_{1,r}, else None."""
-    if f.n >= 3 and f.edge_count == f.n - 1 and are_isomorphic(f, star_graph(f.n - 1)):
-        return f.n - 1
-    return None
-
-
 def structural_bounds(f: Graph) -> BoundSet:
     """Every applicable structural density bound for the pattern f.
 
@@ -276,17 +237,18 @@ def structural_bounds(f: Graph) -> BoundSet:
                 f"{certified_r}"
             )
 
-    nb = _neighborhood_bound(f)
-    if nb is not None:
-        upper.append(Bound(nb, "neighborhood"))
+    # k >= delta - 1 on every edge, so k + 1/2 [delta = k + 1] is least at
+    # the least k
+    k, _ = neighborhood_scan(f)
+    half = Fraction(1, 2) if f.min_degree() == k + 1 else 0
+    upper.append(Bound(Fraction(k) + half, "neighborhood"))
 
     cp = _cut_pair_bound(f)
     if cp is not None:
         upper.append(Bound(cp, "cut-pair"))
 
-    r_star = _star_order(f)
-    if r_star is not None:
-        cands = star_density_candidates(r_star)
+    if is_star(f):
+        cands = star_density_candidates(f.n - 1)
         upper.append(Bound(cands["construction-derived"], "star-family-construction"))
         upper.append(Bound(cands["stated"], "star-family-stated"))
         notes.append(

@@ -18,8 +18,12 @@ sibling already lies in that orbit under the automorphisms found.  So
 the found automorphisms fixing v_1..v_{k-1} move v_k over its whole
 orbit under that prefix's stabilizer, they generate Aut, and |Aut| is
 the product of those orbit sizes (only the identity fixes the path,
-since its leaf is discrete).  canonical_form_with_generators hands the
-generators to enumeration, relabeled onto the canonical form.
+since its leaf is discrete).  An explored sibling stops at its first leaf
+equal to the best leaf, records the automorphism there and jumps back to
+the common ancestor: the rest of its subtree is the image of one already
+searched, so the least leaf and the orbit argument are unchanged.
+canonical_form_with_generators hands the generators to enumeration,
+relabeled onto the canonical form.
 """
 
 from __future__ import annotations
@@ -127,7 +131,8 @@ def _canonical_search(
     best_fixed: tuple[int, ...] = ()
     autos: list[tuple[int, ...]] = []
 
-    def descend(cells: list[int], fixed: tuple[int, ...]) -> None:
+    def descend(cells: list[int], fixed: tuple[int, ...]) -> int:
+        """Search below fixed; return the depth to resume at (n: no jump)."""
         nonlocal best_enc, best_order, best_fixed
         cells = _refine(rows, cells)
         target = next((c for c in cells if c & (c - 1)), 0)
@@ -141,7 +146,12 @@ def _canonical_search(
                 for i in range(n):
                     perm[best_order[i]] = order[i]
                 autos.append(tuple(perm))
-            return
+                # jump back to the deepest common ancestor with the best leaf
+                c = 0
+                while fixed[c] == best_fixed[c]:
+                    c += 1
+                return c
+            return n
         idx = cells.index(target)
         rest = cells[idx + 1:]
         head = cells[:idx]
@@ -159,7 +169,10 @@ def _canonical_search(
                 if roots is not None and any(roots[v] == roots[u] for u in tried):
                     continue
             tried.append(v)
-            descend(head + [1 << v, target & ~(1 << v)] + rest, fixed + (v,))
+            depth = descend(head + [1 << v, target & ~(1 << v)] + rest, fixed + (v,))
+            if depth < len(fixed):
+                return depth
+        return n
 
     descend([g.vertex_mask], ())
     # descend holds itself through its closure; breaking that cycle frees

@@ -185,6 +185,11 @@ def _clique_blocks(total: int, block: int) -> Graph:
     return disjoint_union(parts)
 
 
+def _clique_pair(r: int) -> Graph:
+    """Two r-cliques on 0..r-1 and r..2r-1 joined by the edge (r-1, r)."""
+    return disjoint_union([complete_graph(r)] * 2).add_edge(r - 1, r)
+
+
 def bridge_pair_order(f: Graph) -> int | None:
     """Smallest r such that some bridge of f splits it into components
     of at most r vertices each; None when f has no bridge."""
@@ -216,11 +221,7 @@ def bridge_family(f: Graph, n: int) -> Graph:
     if n < f.n:
         raise ConstructionError("need at least as many vertices as the pattern")
     if n % (2 * r) == 0:
-        pair_edges = [(u, v) for u in range(r) for v in range(u + 1, r)]
-        pair_edges += [(r + u, r + v) for u in range(r) for v in range(u + 1, r)]
-        pair_edges.append((r - 1, r))
-        pair = from_edges(2 * r, pair_edges)
-        candidate = disjoint_union([pair] * (n // (2 * r)))
+        candidate = disjoint_union([_clique_pair(r)] * (n // (2 * r)))
         if is_dom_sat(candidate, f).verdict:
             return candidate
     return _clique_blocks(n, f.n)

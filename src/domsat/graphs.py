@@ -2,7 +2,9 @@
 
 Vertices are 0..n-1 with n <= 64, so each adjacency row fits in one
 machine word and neighborhood algebra is plain integer bit twiddling.
-Every other module builds on the Graph type defined here.
+Every other module builds on the Graph type defined here.  Vertex and
+edge connectivity are decided by trying every small cut, which suits
+the desk-scale hosts the verify suites check.
 """
 
 from __future__ import annotations
@@ -12,12 +14,6 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
-
-# Vertex connectivity is decided by exhaustive cut enumeration up to this
-# order and by unit-capacity max-flow above it; tests cross-check the two
-# on the overlap.
-_BRUTE_CONNECTIVITY_LIMIT = 16
-
 
 def _bits(mask: int) -> Iterator[int]:
     """Yield set bit positions of mask in ascending order."""
@@ -307,6 +303,11 @@ def is_tree(g: Graph) -> bool:
     return is_connected(g) and g.edge_count == g.n - 1
 
 
+def is_star(g: Graph) -> bool:
+    """True iff g is K_{1,n-1} with n >= 3: n - 1 edges, all at one vertex."""
+    return g.n >= 3 and g.edge_count == g.n - 1 and g.n - 1 in g.degrees()
+
+
 def bridges(g: Graph) -> list[tuple[int, int]]:
     """Edges whose removal increases the component count (DFS lowpoints)."""
     n = g.n
@@ -347,7 +348,17 @@ def bridges(g: Graph) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def _k_connected_brute(g: Graph, k: int) -> bool:
+def is_k_connected(g: Graph, k: int) -> bool:
+    """True iff g has more than k vertices and no vertex cut of size < k.
+
+    K_n has no vertex cut, so it is (n-1)-connected and not n-connected;
+    every graph is 0-connected.  Every vertex set of size < k is tried as
+    a cut, C(n, <k) of them, so the cost is exponential in k.
+    """
+    if k < 0:
+        raise ValueError("connectivity order must be non-negative")
+    if g.n <= k:
+        return False
     full = g.vertex_mask
     for size in range(k):
         for cut in combinations(range(g.n), size):
@@ -359,141 +370,21 @@ def _k_connected_brute(g: Graph, k: int) -> bool:
     return True
 
 
-def _flow_at_least(cap: dict[tuple[int, int], int], source: int, sink: int, k: int) -> bool:
-    """At least k units of source-sink flow by BFS augmenting paths.
-
-    cap holds the residual capacity of every arc and of its reverse; it
-    is consumed.
-    """
-    adj: dict[int, list[int]] = {}
-    for (a, b) in cap:
-        adj.setdefault(a, []).append(b)
-    flow = 0
-    while flow < k:
-        parent = {source: source}
-        queue = [source]
-        while queue and sink not in parent:
-            cur = queue.pop(0)
-            for nxt in adj.get(cur, ()):
-                if nxt not in parent and cap[(cur, nxt)] > 0:
-                    parent[nxt] = cur
-                    queue.append(nxt)
-        if sink not in parent:
-            return False
-        cur = sink
-        while cur != source:
-            prv = parent[cur]
-            cap[(prv, cur)] -= 1
-            cap[(cur, prv)] += 1
-            cur = prv
-        flow += 1
-    return True
-
-
-def _vertex_flow_at_least(g: Graph, s: int, t: int, k: int) -> bool:
-    """At least k internally vertex-disjoint s-t paths (split-vertex flow)."""
-    # Node encoding: 2v = in-copy, 2v+1 = out-copy; s and t are not split.
-    n = g.n
-    cap: dict[tuple[int, int], int] = {}
-
-    def arc(a: int, b: int, c: int) -> None:
-        cap[(a, b)] = cap.get((a, b), 0) + c
-        cap.setdefault((b, a), 0)
-
-    for v in range(n):
-        if v not in (s, t):
-            arc(2 * v, 2 * v + 1, 1)
-    big = n + 1
-    for u in range(n):
-        for v in _bits(g.rows[u]):
-            tail = 2 * u + 1 if u not in (s, t) else 2 * u
-            head = 2 * v if v not in (s, t) else 2 * v
-            arc(tail, head, big)
-    return _flow_at_least(cap, 2 * s, 2 * t, k)
-
-
-def _k_connected_flow(g: Graph, k: int) -> bool:
-    nonadj = g.non_edges()
-    if not nonadj:
-        return True  # complete graph, no cuts at all
-    return all(_vertex_flow_at_least(g, u, v, k) for u, v in nonadj)
-
-
-def is_k_connected(g: Graph, k: int) -> bool:
-    """True iff g has more than k vertices and no vertex cut of size < k.
-
-    K_n has no vertex cut, so it is (n-1)-connected and not n-connected;
-    every graph is 0-connected.
-    """
-    if k < 0:
-        raise ValueError("connectivity order must be non-negative")
-    if k == 0:
-        return True
-    if g.n <= k:
-        return False
-    if g.n <= _BRUTE_CONNECTIVITY_LIMIT:
-        return _k_connected_brute(g, k)
-    return _k_connected_flow(g, k)
-
-
-def _k_edge_connected_brute(g: Graph, k: int) -> bool:
-    # min over proper vertex subsets of the edge boundary
-    full = g.vertex_mask
-    for side in range(1, full, 2):  # fix vertex 0 on the S side
-        comp = full & ~side
-        if not comp:
-            continue
-        boundary = sum((g.rows[v] & comp).bit_count() for v in _bits(side))
-        if boundary < k:
-            return False
-    return True
-
-
-def _edge_flow_at_least(g: Graph, s: int, t: int, k: int) -> bool:
-    # both orientations of every edge carry capacity 1
-    cap = {(u, v): 1 for u in range(g.n) for v in _bits(g.rows[u])}
-    return _flow_at_least(cap, s, t, k)
-
-
 def is_k_edge_connected(g: Graph, k: int) -> bool:
     """True iff no edge cut of size < k disconnects g.
 
     A single vertex cannot be disconnected by edge removal, so K_1 passes
-    for every k; a disconnected graph fails for every k >= 1.
+    for every k; a disconnected graph fails for every k >= 1.  Every edge
+    set of size < k is tried as a cut, C(m, <k) of them, so the cost is
+    exponential in k.
     """
     if k < 0:
         raise ValueError("connectivity order must be non-negative")
-    if k == 0:
-        return True
-    if g.n == 1:
-        return True
-    if g.n <= _BRUTE_CONNECTIVITY_LIMIT:
-        return _k_edge_connected_brute(g, k)
-    if not is_connected(g):
-        return False
-    return all(_edge_flow_at_least(g, 0, v, k) for v in range(1, g.n))
-
-
-# -- structural summary ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StructuralSummary:
-    """One-shot record of the structural queries the theory layer needs."""
-
-    min_degree: int
-    degree_sequence: tuple[int, ...]
-    components: tuple[tuple[int, ...], ...]
-    bridges: tuple[tuple[int, int], ...]
-    acyclic: bool
-
-
-def structural_queries(g: Graph) -> StructuralSummary:
-    comps = tuple(tuple(_bits(mask)) for mask in components(g))
-    return StructuralSummary(
-        min_degree=g.min_degree(),
-        degree_sequence=tuple(sorted(g.degrees(), reverse=True)),
-        components=comps,
-        bridges=tuple(bridges(g)),
-        acyclic=is_acyclic(g),
-    )
+    for size in range(k):
+        for cut in combinations(g.edges(), size):
+            h = g
+            for e in cut:
+                h = h.remove_edge(*e)
+            if not is_connected(h):
+                return False
+    return True

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import are_isomorphic
 from .embed import copy_through_edge, embedding_exists, is_valid_embedding
-from .graphs import Graph, _bits, is_tree, star_graph
+from .graphs import Graph, _bits, is_star, is_tree
 
 CERT_NONE = "none"
 CERT_EMBEDDING = "embedding"
@@ -52,26 +51,11 @@ class PredicateReport:
             "certificate": _cert_to_json(self.certificate),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PredicateReport":
-        return cls(
-            predicate=data["predicate"],
-            verdict=bool(data["verdict"]),
-            certificate_kind=data["certificate_kind"],
-            certificate=_cert_from_json(data["certificate"]),
-        )
-
 
 def _cert_to_json(cert: tuple):
     if cert and isinstance(cert[0], tuple):
         return [list(c) for c in cert]
     return list(cert)
-
-
-def _cert_from_json(data) -> tuple:
-    if data and isinstance(data[0], list):
-        return tuple(tuple(c) for c in data)
-    return tuple(data)
 
 
 def _require_pattern(f: Graph) -> None:
@@ -225,10 +209,6 @@ def recheck_certificate(report: PredicateReport, g: Graph, f: Graph) -> bool:
 # -- the tree witness lemma -------------------------------------------------
 
 
-def _is_star(t: Graph) -> bool:
-    return t.n >= 3 and are_isomorphic(t, star_graph(t.n - 1))
-
-
 def _exists_path_from(g: Graph, alive: int, starts: int, j: int) -> bool:
     """Is there a simple path on exactly j vertices inside alive whose
     first vertex lies in starts?"""
@@ -273,7 +253,7 @@ def lemma_tree_witness(t: Graph, j: int):
         raise ValueError("input is not a tree")
     if not 3 <= t.n < 3 * j:
         raise ValueError(f"tree order {t.n} outside the lemma range 3 <= n < {3 * j}")
-    if _is_star(t):
+    if is_star(t):
         return "star"
     for u, v in t.non_edges():
         if tree_witness_ok(t, j, u, v):

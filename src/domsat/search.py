@@ -58,17 +58,6 @@ class SearchResult:
             "graphs_examined": self.graphs_examined,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SearchResult":
-        return cls(
-            pattern=data["pattern"],
-            n=int(data["n"]),
-            predicate=data["predicate"],
-            min_edges=int(data["min_edges"]),
-            witnesses=tuple(data["witnesses"]),
-            graphs_examined=int(data["graphs_examined"]),
-        )
-
 
 @dataclass(frozen=True)
 class DensityProfile:
@@ -115,14 +104,6 @@ class DensityProfile:
                 },
             },
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DensityProfile":
-        rows = tuple(
-            (row["n"], row["min_edges"], Fraction(row["density"]["num"], row["density"]["den"]))
-            for row in data["rows"]
-        )
-        return cls(data["pattern"], data["predicate"], rows)
 
 
 # -- pattern-derived degree floors ------------------------------------------

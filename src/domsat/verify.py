@@ -47,6 +47,10 @@ class Check:
     detail: str = ""
 
 
+def _counterexample_check(label: str, bad: list) -> Check:
+    return Check(label, not bad, f"{len(bad)} counterexamples" if bad else "")
+
+
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
@@ -113,9 +117,7 @@ def suite_facts(max_n: int = 6, pool: dict[str, Graph] | None = None) -> SuiteRe
                 for i, h in enumerate(hosts):
                     if host_rel[gn][i] and not conclusion_rel[fn][i]:
                         bad.append((fn, gn, i))
-        checks.append(
-            Check(label, not bad, f"{len(bad)} counterexamples" if bad else "")
-        )
+        checks.append(_counterexample_check(label, bad))
 
     implication("transitivity-dominated", dom_pp, dom, dom)
     implication("transitivity-dominated-semi", dom_pp, ss, ss)
@@ -127,9 +129,7 @@ def suite_facts(max_n: int = 6, pool: dict[str, Graph] | None = None) -> SuiteRe
         for i, h in enumerate(hosts):
             if dom[fn][i] and h.min_degree() >= 1 and h.min_degree() < f.min_degree():
                 bad.append((fn, i))
-    checks.append(
-        Check("degree-dominated", not bad, f"{len(bad)} counterexamples" if bad else "")
-    )
+    checks.append(_counterexample_check("degree-dominated", bad))
 
     bad = []
     for fn, f in pool.items():
@@ -138,13 +138,7 @@ def suite_facts(max_n: int = 6, pool: dict[str, Graph] | None = None) -> SuiteRe
                 continue
             if ss[fn][i] and h.min_degree() < f.min_degree() - 1:
                 bad.append((fn, i))
-    checks.append(
-        Check(
-            "degree-semi-saturated",
-            not bad,
-            f"{len(bad)} counterexamples" if bad else "",
-        )
-    )
+    checks.append(_counterexample_check("degree-semi-saturated", bad))
 
     return SuiteResult("facts", tuple(checks))
 
@@ -176,13 +170,7 @@ def suite_connectivity(max_n: int = 6, pool: dict[str, Graph] | None = None) -> 
                 continue
             if is_semi_saturated(h, f).verdict and not is_k_connected(h, k - 1):
                 bad.append((fn, h))
-    checks.append(
-        Check(
-            "semi-saturated-vertex-connectivity",
-            not bad,
-            f"{len(bad)} counterexamples" if bad else "",
-        )
-    )
+    checks.append(_counterexample_check("semi-saturated-vertex-connectivity", bad))
 
     bad = []
     for fn, f in pool.items():
@@ -192,13 +180,7 @@ def suite_connectivity(max_n: int = 6, pool: dict[str, Graph] | None = None) -> 
         for h in hosts:
             if is_dom_sat(h, f).verdict and not is_k_edge_connected(h, k - 1):
                 bad.append((fn, h))
-    checks.append(
-        Check(
-            "dom-sat-edge-connectivity",
-            not bad,
-            f"{len(bad)} counterexamples" if bad else "",
-        )
-    )
+    checks.append(_counterexample_check("dom-sat-edge-connectivity", bad))
 
     return SuiteResult("connectivity", tuple(checks))
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from domsat import (
-    BoundSet,
+    all_classes,
     complete_graph,
     cycle_gadget,
     cycle_graph,
@@ -133,6 +133,22 @@ def test_structural_bounds_c5():
     assert bs.consistent
 
 
+def test_neighborhood_bound_is_least_over_edges():
+    # k + 1/2 [delta = k + 1], minimised over every edge uw with
+    # |N(u) | N(w)| = k + 2
+    for n in range(2, 7):
+        for f in all_classes(n):
+            if not f.edge_count:
+                continue
+            delta = f.min_degree()
+            want = min(
+                Fraction(k) + (Fraction(1, 2) if delta == k + 1 else 0)
+                for k in ((f.rows[u] | f.rows[w]).bit_count() - 2 for u, w in f.edges())
+            )
+            by_source = {b.source: b.value for b in structural_bounds(f).upper}
+            assert by_source["neighborhood"] == want
+
+
 def test_structural_bounds_star_records_both_candidates():
     bs = structural_bounds(star_graph(3))
     by_source = {b.source: b.value for b in bs.upper}
@@ -154,10 +170,31 @@ def test_min_degree_lower_needs_two_edges_per_component():
 
 
 def test_bound_set_json_round_trip():
-    bs = structural_bounds(star_graph(3))
-    back = BoundSet.from_json_dict(bs.to_json_dict())
-    assert back == bs
-    assert back.best_lower == bs.best_lower and back.best_upper == bs.best_upper
+    def frac(num, den, source):
+        return {"num": num, "den": den, "source": source}
+
+    assert structural_bounds(star_graph(3)).to_json_dict() == {
+        "schema": "domsat/1",
+        "lower": [frac(1, 2, "min-degree-half")],
+        "upper": [
+            frac(5, 2, "clique-upper"),
+            frac(3, 2, "bridge-blocks"),
+            frac(13, 8, "bridge-pairs"),
+            frac(2, 1, "neighborhood"),
+            frac(3, 2, "cut-pair"),
+            frac(6, 5, "star-family-construction"),
+            frac(29, 20, "star-family-stated"),
+        ],
+        "best_lower": {"num": 1, "den": 2},
+        "best_upper": {"num": 6, "den": 5},
+        "consistent": True,
+        "notes": [
+            "bridge-pairs witness with clique order 3 fails its predicate for "
+            "this pattern; smallest certifying order is 4",
+            "star-family upper candidates disagree: the stated constant exceeds "
+            "the witness density; both are recorded",
+        ],
+    }
 
 
 def test_lower_bound_versus_searched_minimums():

@@ -1,6 +1,8 @@
 import random
 from itertools import combinations, permutations
+from math import factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +25,7 @@ from domsat.canon import (
     canonical_form_with_generators,
     canonical_relabeling,
 )
-from domsat.constructions import cycle_gadget
+from domsat.constructions import cycle_gadget, cycle_gadget_layout
 from domsat.embed import count_embeddings
 from domsat.enumeration import all_classes
 
@@ -147,6 +149,23 @@ def test_automorphism_order_under_relabelling_and_one_shared_search():
     form, gens = got[1]
     assert g.relabel(got[2]) == form
     assert all(form.relabel(p) == form for p in gens)
+
+
+@pytest.mark.parametrize("n", [25, 27])
+def test_relabelled_cycle_gadgets_keep_form_and_order(n):
+    # without jumping back to the common ancestor some of these labellings
+    # take minutes; the closed form swaps the anchors (reversing every
+    # loop) and permutes the other clique vertices and the loops
+    g = cycle_gadget(n, 5, 2)
+    _, ell, _, loops = cycle_gadget_layout(n, 5, 2)
+    order = 2 * factorial(ell - 2) * factorial(loops)
+    form = canonical_form(g)
+    for seed in range(5):
+        perm = list(range(n))
+        random.Random(seed).shuffle(perm)
+        h = g.relabel(perm)
+        assert canonical_form(h) == form
+        assert automorphism_order(h) == order
 
 
 def test_are_isomorphic():

@@ -44,10 +44,9 @@ def test_check_json_round_trips():
     assert data["verdict"] is False
     assert data["certificate_kind"] == "uncovered-edge"
 
-    from domsat import PredicateReport, complete_graph, graph6_decode, is_dominated
+    from domsat import complete_graph, graph6_decode, is_dominated
 
-    parsed = PredicateReport.from_json_dict(data)
-    assert parsed == is_dominated(graph6_decode("DUW"), complete_graph(3))
+    assert data == is_dominated(graph6_decode("DUW"), complete_graph(3)).to_json_dict()
 
 
 def test_graph_argument_from_stdin():
@@ -82,11 +81,10 @@ def test_compute_is_byte_identical_across_fresh_processes():
 
 
 def test_compute_json_parses_to_library_result():
-    from domsat import SearchResult, complete_graph, min_edges
+    from domsat import complete_graph, min_edges
 
     out = run_cli("compute", "--pattern", "Bw", "--n", "5", "--predicate", "dom-sat", "--json")
-    parsed = SearchResult.from_json_dict(json.loads(out.stdout))
-    assert parsed == min_edges(complete_graph(3), 5, "dom-sat")
+    assert json.loads(out.stdout) == min_edges(complete_graph(3), 5, "dom-sat").to_json_dict()
 
 
 def test_construct_certify_paths():

@@ -16,6 +16,7 @@ from domsat import (
     is_dom_sat,
     is_saturated,
     is_semi_saturated,
+    min_edges,
     near_matching,
     neighborhood_family,
     neighborhood_scan,
@@ -177,3 +178,32 @@ def test_neighborhood_density_tracks_clique_witness():
     g1 = neighborhood_family(complete_graph(3), 23, pad=True)
     g2 = neighborhood_family(complete_graph(3), 43, pad=True)
     assert (g2.edge_count - g1.edge_count) * 2 == 3 * (g2.n - g1.n)
+
+
+def _exact_search_rows():
+    """(label, graph, pattern, exact) for every n <= 8 each builder accepts;
+    exact marks the path family at multiples of its component size."""
+    rows = []
+    for r in (3, 4):
+        rows += [(f"dom_turan({n},{r})", dom_turan(n, r), complete_graph(r), False)
+                 for n in range(r, 9)]
+    for r in (3, 4, 5):
+        comp = path_component_size(r)
+        rows += [(f"path_family({n},{r})", path_family(n, r, pad=True), path_graph(r),
+                  n % comp == 0) for n in range(comp, 9)]
+    for r in (2, 3):
+        rows += [(f"star_family({n},{r})", star_family(n, r, pad=True), star_graph(r), False)
+                 for n in range(2 * r - 1, 9)]
+    return rows
+
+
+def test_constructions_bound_exact_search():
+    # every family is an upper bound on the dom-sat minimum, and the path
+    # family is extremal when its components tile the vertex set
+    rows = _exact_search_rows()
+    assert len(rows) == 35
+    for label, g, pattern, exact in rows:
+        least = min_edges(pattern, g.n, "dom-sat").min_edges
+        assert g.edge_count >= least, label
+        if exact:
+            assert g.edge_count == least, label

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from conftest import graphs
 from domsat import (
     Graph,
+    all_classes,
+    are_isomorphic,
     bridges,
     canonical_form,
     complete_bipartite,
@@ -24,14 +26,8 @@ from domsat import (
     join,
     path_graph,
     star_graph,
-    structural_queries,
 )
-from domsat.graphs import (
-    _edge_flow_at_least,
-    _k_connected_brute,
-    _k_connected_flow,
-    _k_edge_connected_brute,
-)
+from domsat.graphs import _bits, is_star
 
 
 def test_graph_validation():
@@ -184,31 +180,40 @@ def test_k_edge_connected_examples():
     assert is_k_edge_connected(empty_graph(1), 7)
 
 
-@given(graphs(min_n=2, max_n=8), st.integers(0, 8))
+@given(graphs(min_n=2, max_n=8), st.integers(0, 4))
 @settings(max_examples=80, deadline=None)
-def test_connectivity_brute_matches_flow(g, k):
-    if k == 0:
-        return
-    brute = g.n > k and _k_connected_brute(g, k)
-    flow = g.n > k and _k_connected_flow(g, k)
-    assert brute == flow
-    brute_e = _k_edge_connected_brute(g, k)
-    flow_e = is_connected(g) and all(
-        _edge_flow_at_least(g, 0, v, k) for v in range(1, g.n)
+def test_whitney_chain(g, k):
+    # vertex connectivity <= edge connectivity <= minimum degree
+    if is_k_connected(g, k):
+        assert is_k_edge_connected(g, k)
+    if is_k_edge_connected(g, k):
+        assert g.min_degree() >= k
+
+
+def _min_edge_boundary(g):
+    """Fewest edges leaving a proper nonempty vertex set (None on K_1)."""
+    full = g.vertex_mask
+    return min(
+        (
+            sum((g.rows[v] & full & ~side).bit_count() for v in _bits(side))
+            for side in range(1, full, 2)  # vertex 0 stays on the side
+        ),
+        default=None,
     )
-    assert brute_e == flow_e
 
 
-def test_structural_queries():
-    s = structural_queries(path_graph(4))
-    assert s.min_degree == 1
-    assert s.bridges == ((0, 1), (1, 2), (2, 3))
-    assert s.acyclic
-    s = structural_queries(cycle_graph(5))
-    assert s.min_degree == 2 and s.bridges == () and not s.acyclic
-    s = structural_queries(star_graph(4))
-    assert s.degree_sequence == (4, 1, 1, 1, 1)
-    assert len(s.bridges) == 4
+@given(graphs(min_n=1, max_n=8), st.integers(0, 4))
+@settings(max_examples=80, deadline=None)
+def test_edge_connectivity_matches_min_edge_boundary(g, k):
+    boundary = _min_edge_boundary(g)
+    assert is_k_edge_connected(g, k) == (boundary is None or k <= boundary)
+
+
+def test_is_star_matches_isomorphism_to_a_star():
+    for n in range(2, 8):
+        for g in all_classes(n):
+            if g.edge_count:
+                assert is_star(g) == (n >= 3 and are_isomorphic(g, star_graph(n - 1)))
 
 
 def test_relabel_and_subgraph():
