@@ -1,16 +1,22 @@
-"""Isomorphism-free enumeration of small graphs by edge count.
+"""Isomorph-free enumeration of small graphs by edge count.
 
-Graphs on n vertices are generated level by level: the classes with m
-edges are the canonical forms of the one-edge extensions of the classes
-with m-1 edges, deduplicated.  Each class is extended by one non-edge
-per orbit of its automorphism group on non-edges, since the children in
-one orbit are isomorphic (McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 26, 1998).  The group comes as the generators that the
-canonical labelling search found for the class, which generate all of
-it (see canon.py).  Levels are cached per n for the life of the
-process and streamed in graph6 order, so repeated sweeps are cheap;
-generators are kept for the last level only.  The cache takes no lock:
-callers are single-threaded.
+Graphs on n vertices are generated level by level by canonical
+augmentation (McKay, "Isomorph-free exhaustive generation", J.
+Algorithms 26, 1998).  Each class with m-1 edges is extended by one
+non-edge per orbit of its automorphism group on non-edges, since the
+children in one orbit are isomorphic.  A child H = parent + uv is kept
+only if uv lies in the Aut(H)-orbit of H's canonical edge: among the
+edges whose degree key (d_a + d_b, d_a * d_b) is largest, the one whose
+pair of canonical labels is least.  H minus its canonical edge has one
+class, so exactly one parent, and within it one non-edge orbit, passes
+the test: every class is produced exactly once and needs no
+deduplication.  The key is an isomorphism invariant, so most children
+are rejected before they are canonically labelled.  Each automorphism
+group comes as the generators that the canonical labelling search
+found, which generate the whole group (see canon.py).  Levels are cached per n for
+the life of the process and streamed in graph6 order, so repeated
+sweeps are cheap; generators are kept for the last level only.  The
+cache takes no lock: callers are single-threaded.
 
 The independent anti-hallucination oracle lives in oracle.py and shares
 no code with this path.
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .canon import _orbit_roots, canonical_form_with_generators
+from .canon import _orbit_roots, canonical_form_with_generators, canonical_relabeling
 from .graph6 import graph6_encode
 from .graphs import Graph, empty_graph
 
@@ -39,21 +45,50 @@ def _symmetric_group_gens(n: int) -> Generators:
     return [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
 
 
+def _pair_orbit_roots(pairs: list[tuple[int, int]], gens: Generators) -> list[int]:
+    """Orbit roots, as indices into pairs, of the vertex pairs under <gens>;
+    pairs must be closed under the generators."""
+    index = {e: i for i, e in enumerate(pairs)}
+    on_pairs = []
+    for p in gens:
+        images = []
+        for u, v in pairs:
+            a, b = p[u], p[v]
+            images.append(index[(a, b) if a < b else (b, a)])
+        on_pairs.append(images)
+    return _orbit_roots(len(pairs), on_pairs)
+
+
 def _non_edge_orbit_reps(g: Graph, gens: Generators) -> list[tuple[int, int]]:
     """The lexicographically first non-edge of each orbit of <gens>."""
     non_edges = g.non_edges()
     if not gens:
         return non_edges
-    index = {e: i for i, e in enumerate(non_edges)}
-    on_pairs = []
-    for p in gens:
-        images = []
-        for u, v in non_edges:
-            a, b = p[u], p[v]
-            images.append(index[(a, b) if a < b else (b, a)])
-        on_pairs.append(images)
-    roots = _orbit_roots(len(non_edges), on_pairs)
+    roots = _pair_orbit_roots(non_edges, gens)
     return [e for i, e in enumerate(non_edges) if roots[i] == i]
+
+
+def _top_key_edges(deg: list[int], edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The edges whose key (d_a + d_b, d_a * d_b) under the degrees deg is
+    largest, in the order given.  The key is an isomorphism invariant."""
+    keys = [(deg[a] + deg[b], deg[a] * deg[b]) for a, b in edges]
+    top = max(keys)
+    return [e for e, k in zip(edges, keys) if k == top]
+
+
+def _in_canonical_orbit(child: Graph, top: list[tuple[int, int]]) -> bool:
+    """Whether top's last edge lies in the Aut(child)-orbit of the
+    canonical edge: the edge of top whose pair of canonical labels is
+    least.  top must be closed under Aut(child)."""
+    # both calls read the same cached canonical search of child
+    perm = canonical_relabeling(child)
+    _, gens = canonical_form_with_generators(child)
+    labelled = []
+    for a, b in top:
+        a, b = perm[a], perm[b]
+        labelled.append((a, b) if a < b else (b, a))
+    roots = _pair_orbit_roots(labelled, gens)
+    return roots[-1] == roots[labelled.index(min(labelled))]
 
 
 def _extend_levels(n: int, m: int) -> list[list[Graph]]:
@@ -62,14 +97,25 @@ def _extend_levels(n: int, m: int) -> list[list[Graph]]:
         levels = _levels[n] = [[empty_graph(n)]]
         _frontier_gens[n] = [_symmetric_group_gens(n)]
     while len(levels) <= m:
-        found: dict[Graph, Generators] = {}
+        made = []
         for parent, gens in zip(levels[-1], _frontier_gens[n]):
+            degrees = parent.degrees()
+            edges = parent.edges()
             for u, v in _non_edge_orbit_reps(parent, gens):
-                child, child_gens = canonical_form_with_generators(parent.add_edge(u, v))
-                found.setdefault(child, child_gens)
-        nxt = sorted(found, key=graph6_encode)
-        levels.append(nxt)
-        _frontier_gens[n] = [found[g] for g in nxt]
+                deg = list(degrees)
+                deg[u] += 1
+                deg[v] += 1
+                # uv goes last, so it ends top exactly when its key is largest;
+                # when it is not, another parent makes this child
+                top = _top_key_edges(deg, edges + [(u, v)])
+                if top[-1] != (u, v):
+                    continue
+                child = parent.add_edge(u, v)
+                if len(top) == 1 or _in_canonical_orbit(child, top):
+                    made.append(canonical_form_with_generators(child))
+        made.sort(key=lambda entry: graph6_encode(entry[0]))
+        levels.append([g for g, _ in made])
+        _frontier_gens[n] = [child_gens for _, child_gens in made]
     return levels
 
 

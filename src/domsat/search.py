@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .canon import canonical_form
-from .enumeration import enumerate_graphs, enumerate_trees
+from .enumeration import MAX_ENUM_VERTICES, enumerate_graphs, enumerate_trees
 from .graph6 import graph6_encode
 from .graphs import Graph, component_graphs
 from .predicates import (
@@ -163,6 +163,18 @@ def _normalize_predicate(name: str) -> str:
     return key
 
 
+def _check_order(pattern: Graph, n: int, max_n: int) -> None:
+    """Reject a host order that cannot be searched, before any level is built."""
+    if pattern.edge_count == 0:
+        raise ValueError("pattern must have at least one edge")
+    if n < pattern.n:
+        raise ValueError(f"host order {n} below pattern order {pattern.n}")
+    if n > max_n:
+        raise SearchCapError(f"order {n} above the search cap {max_n}")
+    if n > MAX_ENUM_VERTICES:
+        raise ValueError(f"enumeration supports 1..{MAX_ENUM_VERTICES} vertices")
+
+
 def min_edges(
     pattern: Graph,
     n: int,
@@ -179,12 +191,7 @@ def min_edges(
     minimum is certified by the sweep run in this call.
     """
     predicate = _normalize_predicate(predicate)
-    if pattern.edge_count == 0:
-        raise ValueError("pattern must have at least one edge")
-    if n < pattern.n:
-        raise ValueError("host order below pattern order")
-    if n > max_n:
-        raise SearchCapError(f"order {n} above the search cap {max_n}")
+    _check_order(pattern, n, max_n)
 
     pattern_g6 = graph6_encode(canonical_form(pattern))
     info = _pattern_info(pattern)
@@ -227,8 +234,12 @@ def density_profile(
     *,
     max_n: int = DEFAULT_MAX_N,
 ) -> DensityProfile:
-    """min_edges rows for every order from the pattern's up to n_max."""
+    """min_edges rows for every order from the pattern's up to n_max.
+
+    n_max is checked against the pattern and both caps first, so a
+    profile that cannot finish fails before its first sweep."""
     predicate = _normalize_predicate(predicate)
+    _check_order(pattern, n_max, max_n)
     rows = []
     for n in range(pattern.n, n_max + 1):
         res = min_edges(pattern, n, predicate, max_n=max_n)

@@ -124,6 +124,15 @@ def test_profile_table():
     assert "n=4 min-edges=5 density=5/4" in out.stdout
 
 
+def test_profile_rejects_orders_it_cannot_sweep():
+    # below the pattern's order, above the default cap, above the enumeration limit
+    for extra in (("--n-max", "2"), ("--n-max", "10"), ("--n-max", "11", "--max-n", "20")):
+        out = run_cli("profile", "--pattern", "Bw", *extra)
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+        assert out.stdout == ""
+
+
 def test_forged_cache_file_is_ignored(tmp_path):
     # a valid witness under a false minimum: the dom-sat minimum for K3
     # on 6 vertices is 8, not 9

@@ -75,6 +75,12 @@ def test_seven_vertex_stream_digest():
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "5e89f2e4a4c60b7e"
 
 
+def test_eight_vertex_stream_digest():
+    # pins the 12 346 classes on 8 vertices, their canonical labels and the stream order
+    text = "\n".join(graph6_encode(g) for g in all_classes(8))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "8f49326fb18e2d9f"
+
+
 def test_small_levels():
     reps = list(enumerate_graphs(4, 3))
     assert len(reps) == 3
@@ -131,9 +137,9 @@ def test_burnside_level_counts_totals_and_complement_symmetry():
 
 
 @pytest.mark.parametrize("n, m_max", [(1, 0), (2, 1), (3, 3), (4, 6), (5, 10), (6, 15),
-                                      (7, 21), (8, 12), (9, 10), (10, 8)])
+                                      (7, 21), (8, 28), (9, 10), (10, 8)])
 def test_burnside_level_counts_match_enumeration(n, m_max):
-    # every level for n <= 7; the low levels, which the searches sweep, above
+    # every level for n <= 8; the low levels, which the searches sweep, above
     counts = level_counts(n)
     assert [class_count(n, m) for m in range(m_max + 1)] == counts[: m_max + 1]
 

@@ -16,7 +16,7 @@ from domsat import (
     star_graph,
     verify_lemma_suite,
 )
-from domsat import enumeration
+from domsat import enumeration, search
 from domsat.search import SEARCH_PREDICATES
 
 K2 = complete_graph(2)
@@ -57,6 +57,19 @@ def test_preconditions():
     with pytest.raises(ValueError):
         min_edges(K3, 5, "dominated")
     assert min_edges(K2, 10, "dom-sat", max_n=10).min_edges == 1  # raised cap honored
+
+
+def test_density_profile_checks_n_max_before_sweeping(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a level was swept")
+
+    monkeypatch.setattr(search, "min_edges", no_sweep)
+    with pytest.raises(ValueError, match="below pattern order"):
+        density_profile(K3, 2)
+    with pytest.raises(SearchCapError):
+        density_profile(K3, 10)
+    with pytest.raises(ValueError, match="enumeration supports"):
+        density_profile(K3, 11, max_n=20)
 
 
 @pytest.mark.parametrize("predicate", ["saturated", "semi-saturated", "dom-sat", "weakly-saturated"])
