@@ -174,13 +174,13 @@ def _certified_pair_order(f: Graph) -> tuple[int | None, int | None]:
     return None, stated
 
 
-def _cut_pair_bound(f: Graph, max_union: int = 6) -> Fraction | None:
+def _cut_pair_bound(f: Graph) -> Fraction | None:
     """Min of k + (r-1)/2 over disjoint U, W with exactly one U-W edge
-    and |U | W| = r <= max_union; exhaustive subset scan."""
+    and |U | W| = r <= 6; exhaustive subset scan."""
     n = f.n
     best = None
     verts = list(range(n))
-    for r in range(2, min(max_union, n) + 1):
+    for r in range(2, min(6, n) + 1):
         for subset in combinations(verts, r):
             sub_mask = 0
             for v in subset:

@@ -221,7 +221,6 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return g.n == h.n and canonical_form(g) == canonical_form(h)
 
 
-@lru_cache(maxsize=4096)
 def automorphism_order(g: Graph) -> int:
     """|Aut(g)|: the product, along the search's path v_1..v_d, of the
     orbit size of v_k under the found automorphisms fixing v_1..v_{k-1}."""

@@ -5,7 +5,8 @@ data planes; timing goes to stderr so stdout stays byte-identical across
 runs.
 
 Exit codes: 0 verdict-true/success, 1 verdict-false/certification
-failure, 2 usage, parse, or infeasibility errors.
+failure, 2 usage, parse, or infeasibility errors.  Every input error the
+library raises is a ValueError, and main alone turns one into exit 2.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .bounds import structural_bounds
 from .constructions import (
-    ConstructionError,
     bridge_family,
     cycle_gadget,
     dom_turan,
@@ -44,17 +46,13 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 
 
-class _CliError(Exception):
-    pass
-
-
 def _decode_arg(text: str, what: str) -> Graph:
     if text == "-":
         text = sys.stdin.readline()
     try:
         return graph6_decode(text)
     except Graph6Error as exc:
-        raise _CliError(f"bad {what}: {exc}") from exc
+        raise ValueError(f"bad {what}: {exc}") from exc
 
 
 def _emit_json(data: dict) -> None:
@@ -67,10 +65,7 @@ def _emit_json(data: dict) -> None:
 def _cmd_check(args) -> int:
     pattern = _decode_arg(args.pattern, "--pattern")
     host = _decode_arg(args.graph, "--graph")
-    try:
-        report = run_predicate(args.predicate, host, pattern)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    report = run_predicate(args.predicate, host, pattern)
     if args.json:
         _emit_json(report.to_json_dict())
     else:
@@ -83,10 +78,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_compute(args) -> int:
     pattern = _decode_arg(args.pattern, "--pattern")
-    try:
-        result = min_edges(pattern, args.n, args.predicate, max_n=args.max_n)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    started = time.perf_counter()
+    result = min_edges(pattern, args.n, args.predicate, max_n=args.max_n)
+    elapsed = time.perf_counter() - started
     if args.json:
         _emit_json(result.to_json_dict())
     else:
@@ -97,60 +91,68 @@ def _cmd_compute(args) -> int:
         for w in result.witnesses:
             print(f"witness: {w}")
         print(f"classes-examined: {result.graphs_examined}")
-    print(f"elapsed: {result.elapsed:.3f}s", file=sys.stderr)
+    print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return EXIT_TRUE
 
 
-def _build_family(args):
-    """Returns (graphs to print, claimed predicate name, claim pattern)."""
-    fam = args.family
+class _Family(NamedTuple):
+    needs: tuple[str, ...]  # flags without a default, checked in this order
+    build: Callable[[argparse.Namespace], list[Graph]]
+    claim: str | None  # the predicate --certify re-runs on the last graph built
+    claim_pattern: Callable[[argparse.Namespace, list[Graph]], Graph] | None
 
-    def need(name):
-        value = getattr(args, name.replace("-", "_"))
-        if value is None:
-            raise _CliError(f"family {fam!r} needs --{name}")
-        return value
 
-    if fam == "near-matching":
-        return [near_matching(need("k"))], None, None
-    if fam == "dom-turan":
-        n, r = need("n"), need("r")
-        return [dom_turan(n, r)], "dom-sat", complete_graph(r)
-    if fam == "turan":
-        n, r = need("n"), need("r")
-        return [turan(n, r)], "saturated", complete_graph(r + 1)
-    if fam == "path":
-        n, r = need("n"), need("r")
-        return [path_family(n, r, pad=args.pad)], "dom-sat", path_graph(r)
-    if fam == "cycle-gadget":
-        r = need("r")
-        return [cycle_gadget(args.n, r, args.loop_len)], "dom-sat", cycle_graph(r)
-    if fam == "star":
-        n, r = need("n"), need("r")
-        return [star_family(n, r, pad=args.pad)], "dom-sat", star_graph(r)
-    if fam == "star-plus":
-        s = need("s")
-        g_s, h_s = star_plus_pair(s)
-        return [g_s, h_s], "dom-sat", g_s
-    if fam == "bridge":
-        f = _decode_arg(need("pattern"), "--pattern")
-        return [bridge_family(f, need("n"))], "dom-sat", f
-    if fam == "neighborhood":
-        f = _decode_arg(need("pattern"), "--pattern")
-        return [neighborhood_family(f, need("n"), pad=args.pad)], "dom-sat", f
-    raise _CliError(f"unknown family {fam!r}")
+# In `construct --family` order; --pattern reaches build already decoded.
+FAMILIES = {
+    "near-matching": _Family(("k",), lambda a: [near_matching(a.k)], None, None),
+    "dom-turan": _Family(
+        ("n", "r"), lambda a: [dom_turan(a.n, a.r)],
+        "dom-sat", lambda a, gs: complete_graph(a.r),
+    ),
+    "turan": _Family(
+        ("n", "r"), lambda a: [turan(a.n, a.r)],
+        "saturated", lambda a, gs: complete_graph(a.r + 1),
+    ),
+    "path": _Family(
+        ("n", "r"), lambda a: [path_family(a.n, a.r, pad=a.pad)],
+        "dom-sat", lambda a, gs: path_graph(a.r),
+    ),
+    "cycle-gadget": _Family(
+        ("r",), lambda a: [cycle_gadget(a.n, a.r, a.loop_len)],
+        "dom-sat", lambda a, gs: cycle_graph(a.r),
+    ),
+    "star": _Family(
+        ("n", "r"), lambda a: [star_family(a.n, a.r, pad=a.pad)],
+        "dom-sat", lambda a, gs: star_graph(a.r),
+    ),
+    "star-plus": _Family(
+        ("s",), lambda a: list(star_plus_pair(a.s)),
+        "dom-sat", lambda a, gs: gs[0],  # G_s, claimed for H_s
+    ),
+    "bridge": _Family(
+        ("pattern", "n"), lambda a: [bridge_family(a.pattern, a.n)],
+        "dom-sat", lambda a, gs: a.pattern,
+    ),
+    "neighborhood": _Family(
+        ("pattern", "n"), lambda a: [neighborhood_family(a.pattern, a.n, pad=a.pad)],
+        "dom-sat", lambda a, gs: a.pattern,
+    ),
+}
 
 
 def _cmd_construct(args) -> int:
-    try:
-        graphs, claim, claim_pattern = _build_family(args)
-    except ConstructionError as exc:
-        raise _CliError(str(exc)) from exc
+    family = FAMILIES[args.family]
+    for flag in family.needs:
+        if getattr(args, flag) is None:
+            raise ValueError(f"family {args.family!r} needs --{flag}")
+    if "pattern" in family.needs:
+        args.pattern = _decode_arg(args.pattern, "--pattern")
+    graphs = family.build(args)
+    claim = family.claim
     certified = None
     if args.certify and claim is not None:
-        target = graphs[-1]  # the witness graph (H_s for star-plus)
-        report = run_predicate(claim, target, claim_pattern)
-        certified = report.verdict
+        pattern = family.claim_pattern(args, graphs)
+        certified = run_predicate(claim, graphs[-1], pattern).verdict
     if args.json:
         _emit_json(
             {
@@ -180,11 +182,7 @@ def _frac(x: Fraction) -> str:
 
 
 def _cmd_bounds(args) -> int:
-    pattern = _decode_arg(args.pattern, "--pattern")
-    try:
-        bs = structural_bounds(pattern)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    bs = structural_bounds(_decode_arg(args.pattern, "--pattern"))
     if args.json:
         _emit_json(bs.to_json_dict())
     else:
@@ -203,10 +201,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_profile(args) -> int:
     pattern = _decode_arg(args.pattern, "--pattern")
-    try:
-        prof = density_profile(pattern, args.n_max, args.predicate, max_n=args.max_n)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    prof = density_profile(pattern, args.n_max, args.predicate, max_n=args.max_n)
     if args.json:
         _emit_json(prof.to_json_dict())
     else:
@@ -288,21 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("construct", parents=[common], help="build a named family")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=[
-            "near-matching",
-            "dom-turan",
-            "turan",
-            "path",
-            "cycle-gadget",
-            "star",
-            "star-plus",
-            "bridge",
-            "neighborhood",
-        ],
-    )
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--s", type=int, default=None)
@@ -341,7 +322,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except _CliError as exc:
+    except ValueError as exc:
+        # the base of every input error the library raises: Graph6Error,
+        # ConstructionError, SearchCapError and the range checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,8 +1,9 @@
 """Parameterized builders for the extremal and witness families.
 
 Every builder emits a deterministic vertex labeling (documented per
-function) so serialized outputs are byte-stable, and each family's
-claimed predicate can be re-run against its output via family_claim.
+function) so serialized outputs are byte-stable.  Each family's claimed
+predicate and pattern live in the CLI's family table (cli.FAMILIES), and
+`domsat construct --certify` re-runs the claim against the output.
 """
 
 from __future__ import annotations

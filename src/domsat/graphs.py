@@ -3,8 +3,9 @@
 Vertices are 0..n-1 with n <= 64, so each adjacency row fits in one
 machine word and neighborhood algebra is plain integer bit twiddling.
 Every other module builds on the Graph type defined here.  Vertex and
-edge connectivity are decided by trying every small cut, which suits
-the desk-scale hosts the verify suites check.
+edge connectivity are decided by trying every small cut, and bridges by
+removing each edge in turn, which suits the desk-scale hosts the verify
+suites check and the patterns the bounds and bridge builders ask about.
 """
 
 from __future__ import annotations
@@ -309,43 +310,9 @@ def is_star(g: Graph) -> bool:
 
 
 def bridges(g: Graph) -> list[tuple[int, int]]:
-    """Edges whose removal increases the component count (DFS lowpoints)."""
-    n = g.n
-    disc = [0] * n
-    low = [0] * n
-    out = []
-    timer = 1
-    for root in range(n):
-        if disc[root]:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack: list[tuple[int, int, Iterator[int]]] = [
-            (root, -1, _bits(g.rows[root]))
-        ]
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if disc[w]:
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-                else:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v, _bits(g.rows[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                if parent >= 0:
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                    if low[v] > disc[parent]:
-                        out.append((min(parent, v), max(parent, v)))
-    return sorted(out)
+    """Edges whose removal increases the component count, in edges() order."""
+    count = len(components(g))
+    return [e for e in g.edges() if len(components(g.remove_edge(*e))) > count]
 
 
 def is_k_connected(g: Graph, k: int) -> bool:

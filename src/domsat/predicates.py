@@ -160,16 +160,40 @@ def run_predicate(name: str, g: Graph, f: Graph) -> PredicateReport:
     return PREDICATES[key](g, f)
 
 
+# the certificate kinds each predicate can emit
+CERT_KINDS = {
+    "free": (CERT_NONE, CERT_EMBEDDING),
+    "saturated": (CERT_NONE, CERT_EMBEDDING, CERT_NON_EDGE),
+    "semi-saturated": (CERT_NONE, CERT_NON_EDGE),
+    "dominated": (CERT_NONE, CERT_UNCOVERED_EDGE),
+    "dom-sat": (CERT_NONE, CERT_UNCOVERED_EDGE, CERT_NON_EDGE),
+    "weakly-saturated": (CERT_CLOSURE_GAP, CERT_CLOSURE_ORDER),
+}
+
+
+def _is_pair(g: Graph, e) -> bool:
+    """e is a pair of distinct vertices of g."""
+    return isinstance(e, tuple) and len(e) == 2 and e[0] != e[1] and all(0 <= v < g.n for v in e)
+
+
 def recheck_certificate(report: PredicateReport, g: Graph, f: Graph) -> bool:
     """Replay a report's certificate against (g, f).
 
-    Returns True when the replay reproduces the report's verdict.
+    Returns True when the replay reproduces the report's verdict.  A
+    certificate of a kind the report's predicate never emits, one naming
+    a pair that is not two distinct vertices of g, or a closure order
+    that adds an edge twice replays False.
     """
     kind, cert = report.certificate_kind, report.certificate
+    if kind not in CERT_KINDS.get(report.predicate, ()):
+        return False
     if kind == CERT_NONE:
         return run_predicate(report.predicate, g, f).verdict is report.verdict
     if kind == CERT_EMBEDDING:
         return not report.verdict and is_valid_embedding(f, g, cert)
+    pairs = (cert,) if kind in (CERT_NON_EDGE, CERT_UNCOVERED_EDGE) else cert
+    if not all(_is_pair(g, e) for e in pairs):
+        return False
     if kind == CERT_NON_EDGE:
         u, v = cert
         if g.has_edge(u, v):
@@ -195,15 +219,16 @@ def recheck_certificate(report: PredicateReport, g: Graph, f: Graph) -> bool:
             if copy_through_edge(f, extended, e) is not None:
                 return False
         return not report.verdict
-    if kind == CERT_CLOSURE_ORDER:
-        current = g
-        for e in cert:
-            extended = current.add_edge(*e)
-            if copy_through_edge(f, extended, e) is None:
-                return False
-            current = extended
-        return report.verdict and not current.non_edges()
-    raise ValueError(f"unknown certificate kind {kind!r}")
+    # CERT_CLOSURE_ORDER
+    current = g
+    for e in cert:
+        if current.has_edge(*e):
+            return False
+        extended = current.add_edge(*e)
+        if copy_through_edge(f, extended, e) is None:
+            return False
+        current = extended
+    return report.verdict and not current.non_edges()
 
 
 # -- the tree witness lemma -------------------------------------------------

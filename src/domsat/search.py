@@ -14,8 +14,7 @@ can be checked by comparison.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .canon import canonical_form
@@ -45,7 +44,6 @@ class SearchResult:
     min_edges: int
     witnesses: tuple[str, ...]
     graphs_examined: int
-    elapsed: float = field(default=0.0, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -196,7 +194,6 @@ def min_edges(
     pattern_g6 = graph6_encode(canonical_form(pattern))
     info = _pattern_info(pattern)
     pred_fn = PREDICATES[predicate]
-    started = time.perf_counter()
     examined = 0
     base = 1 if predicate == "dom-sat" else 0
     start = max(base, _sweep_start(n, info, predicate)) if prune else base
@@ -219,7 +216,6 @@ def min_edges(
                 min_edges=m,
                 witnesses=tuple(sorted(graph6_encode(g) for g in winners)),
                 graphs_examined=examined,
-                elapsed=time.perf_counter() - started,
             )
     raise RuntimeError(
         "no graph passed at any edge count; this predicate should always "

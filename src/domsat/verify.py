@@ -73,9 +73,10 @@ def default_pool() -> dict[str, Graph]:
     }
 
 
-def _hosts_with_edges(max_n: int) -> list[Graph]:
+def _hosts_with_edges() -> list[Graph]:
+    """Every class with an edge on at most 6 vertices."""
     hosts = []
-    for n in range(1, max_n + 1):
+    for n in range(1, 7):
         hosts.extend(g for g in all_classes(n) if g.edge_count >= 1)
     return hosts
 
@@ -89,10 +90,10 @@ def _vacuous_semi_sat(host: Graph, pattern: Graph) -> bool:
     return _is_complete(host) and host.n < pattern.n
 
 
-def suite_facts(max_n: int = 6, pool: dict[str, Graph] | None = None) -> SuiteResult:
-    """Transitivity and minimum-degree facts over all classes up to max_n."""
-    pool = pool or default_pool()
-    hosts = _hosts_with_edges(max_n)
+def suite_facts() -> SuiteResult:
+    """Transitivity and minimum-degree facts over all classes on at most 6 vertices."""
+    pool = default_pool()
+    hosts = _hosts_with_edges()
 
     dom = {name: [is_dominated(h, f).verdict for h in hosts] for name, f in pool.items()}
     ss = {name: [is_semi_saturated(h, f).verdict for h in hosts] for name, f in pool.items()}
@@ -154,10 +155,10 @@ def _component_connectivity(f: Graph, edge_version: bool) -> int:
     return k
 
 
-def suite_connectivity(max_n: int = 6, pool: dict[str, Graph] | None = None) -> SuiteResult:
-    """Both connectivity lemmas over all classes up to max_n."""
-    pool = pool or default_pool()
-    hosts = _hosts_with_edges(max_n)
+def suite_connectivity() -> SuiteResult:
+    """Both connectivity lemmas over all classes on at most 6 vertices."""
+    pool = default_pool()
+    hosts = _hosts_with_edges()
     checks = []
 
     bad = []
@@ -185,9 +186,9 @@ def suite_connectivity(max_n: int = 6, pool: dict[str, Graph] | None = None) -> 
     return SuiteResult("connectivity", tuple(checks))
 
 
-def suite_lemma_trees(js: tuple[int, ...] = (2, 3)) -> SuiteResult:
+def suite_lemma_trees() -> SuiteResult:
     checks = []
-    for j in js:
+    for j in (2, 3):
         rep = verify_lemma_suite(j)
         detail = f"{rep.trees_checked} trees, {rep.stars} stars"
         if rep.failures:
@@ -270,12 +271,12 @@ def suite_constructions() -> SuiteResult:
     return SuiteResult("constructions", tuple(checks))
 
 
-def suite_formulas(max_n: int = 8) -> SuiteResult:
-    """Clique saturation formula against exhaustive search."""
+def suite_formulas() -> SuiteResult:
+    """Clique saturation formula against exhaustive search for n <= 8."""
     checks = []
     for r in (3, 4):
         ok, detail = True, ""
-        for n in range(r, max_n + 1):
+        for n in range(r, 9):
             got = min_edges(complete_graph(r), n, "saturated").min_edges
             want = sat_clique(n, r)
             if got != want:

@@ -113,8 +113,8 @@ def test_criterion_05_tree_lemma_suite():
 
 def test_criterion_06_theory_facts_as_properties():
     started = time.perf_counter()
-    facts = suite_facts(max_n=6)
-    conn = suite_connectivity(max_n=6)
+    facts = suite_facts()
+    conn = suite_connectivity()
     elapsed = time.perf_counter() - started
     for check in facts.checks + conn.checks:
         assert check.passed, (check.label, check.detail)

@@ -119,7 +119,6 @@ def test_automorphism_order_equals_self_embedding_count():
 
 def _clear_canon_caches():
     _canonical_search.cache_clear()
-    automorphism_order.cache_clear()
 
 
 def _fresh(reader, g):

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -19,6 +21,12 @@ def run_cli(*args, env_extra=None, stdin=None):
         env=env,
         input=stdin,
     )
+
+
+def _assert_input_error(out):
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+    assert out.stdout == ""
 
 
 def test_check_true_false_and_parse_error():
@@ -105,6 +113,66 @@ def test_construct_certify_paths():
     assert padded.returncode == 0
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        "near-matching --k 100",
+        "path --n 100 --r 3 --pad",
+        "dom-turan --n 100 --r 4",
+        "cycle-gadget --r 40 --n 100",
+        "star --n 100 --r 3 --pad",
+        "turan --n 70 --r 3",
+        "star-plus --s 40",
+        "bridge --pattern A_ --n 70",
+        "neighborhood --pattern A_ --n 70",
+    ],
+)
+def test_construct_above_64_vertices_is_an_input_error(family):
+    _assert_input_error(run_cli("construct", "--family", *family.split()))
+
+
+def test_construct_builds_the_claim_pattern_only_to_certify():
+    # Turan(64, 64) is K64; its claim pattern K65 exceeds the vertex limit
+    out = run_cli("construct", "--family", "turan", "--n", "64", "--r", "64")
+    assert out.returncode == 0
+    assert len(out.stdout.splitlines()) == 1
+    certify = run_cli("construct", "--family", "turan", "--n", "64", "--r", "64", "--certify")
+    _assert_input_error(certify)
+
+
+@pytest.mark.parametrize(
+    "family, given, flag",
+    [
+        ("near-matching", (), "k"),
+        ("dom-turan", (), "n"),
+        ("dom-turan", ("--n", "8"), "r"),
+        ("turan", ("--n", "8"), "r"),
+        ("path", ("--r", "3"), "n"),
+        ("cycle-gadget", ("--n", "9"), "r"),
+        ("star", ("--n", "9"), "r"),
+        ("star-plus", (), "s"),
+        ("bridge", ("--n", "9"), "pattern"),
+        ("bridge", ("--pattern", "Cs"), "n"),
+        ("neighborhood", ("--pattern", "Bw"), "n"),
+    ],
+)
+def test_construct_names_the_missing_flag(family, given, flag):
+    out = run_cli("construct", "--family", family, *given)
+    _assert_input_error(out)
+    assert out.stderr == f"error: family '{family}' needs --{flag}\n"
+
+
+def test_help_lists_families_in_order_and_exits_zero():
+    out = run_cli("construct", "--help")
+    assert out.returncode == 0
+    assert (
+        "{near-matching,dom-turan,turan,path,cycle-gadget,star,star-plus,bridge,neighborhood}"
+        in out.stdout
+    )
+    for command in ((), ("check",), ("compute",), ("bounds",), ("profile",), ("verify",)):
+        assert run_cli(*command, "--help").returncode == 0
+
+
 def test_construct_star_plus_prints_both_graphs():
     out = run_cli("construct", "--family", "star-plus", "--s", "4")
     lines = out.stdout.strip().splitlines()
@@ -127,10 +195,7 @@ def test_profile_table():
 def test_profile_rejects_orders_it_cannot_sweep():
     # below the pattern's order, above the default cap, above the enumeration limit
     for extra in (("--n-max", "2"), ("--n-max", "10"), ("--n-max", "11", "--max-n", "20")):
-        out = run_cli("profile", "--pattern", "Bw", *extra)
-        assert out.returncode == 2
-        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
-        assert out.stdout == ""
+        _assert_input_error(run_cli("profile", "--pattern", "Bw", *extra))
 
 
 def test_forged_cache_file_is_ignored(tmp_path):

@@ -16,6 +16,7 @@ from domsat import (
     is_semi_saturated,
     is_weakly_saturated,
     lemma_tree_witness,
+    PredicateReport,
     path_graph,
     recheck_certificate,
     run_predicate,
@@ -103,6 +104,54 @@ def test_certificates_replay(host):
         for pattern in (K3, path_graph(3), star_graph(3)):
             rep = run_predicate(name, host, pattern)
             assert recheck_certificate(rep, host, pattern)
+
+
+_TWO_K3 = disjoint_union([K3, K3])
+
+# each certificate is valid for some other question, or names a vertex
+# outside the host, so none may replay True against pattern K3
+_FORGED = {
+    "free-with-closure-order": (
+        PredicateReport("free", True, "closure-order", ()),
+        complete_graph(4),
+    ),
+    "dom-sat-with-closure-order": (
+        PredicateReport(
+            "dom-sat", True, "closure-order",
+            is_weakly_saturated(star_graph(4), K3).certificate,
+        ),
+        star_graph(4),  # weakly saturated, but its edges lie in no triangle
+    ),
+    "dominated-with-non-edge": (
+        PredicateReport(
+            "dominated", False, "non-edge", is_semi_saturated(_TWO_K3, K3).certificate
+        ),
+        _TWO_K3,
+    ),
+    "uncovered-edge-at-vertex-minus-one": (
+        PredicateReport("dominated", False, "uncovered-edge", (-1, 2)),
+        path_graph(4),
+    ),
+}
+
+
+@pytest.mark.parametrize("report, host", _FORGED.values(), ids=_FORGED.keys())
+def test_forged_certificates_do_not_replay(report, host):
+    assert recheck_certificate(report, host, K3) is False
+
+
+def test_malformed_pairs_do_not_replay():
+    p4 = path_graph(4)
+    for pair in ((0, 4), (2, 2), (-1, 1), (1,), 3):
+        for kind in ("non-edge", "uncovered-edge"):
+            assert not recheck_certificate(PredicateReport("dom-sat", False, kind, pair), p4, K3)
+        rep = PredicateReport("weakly-saturated", False, "closure-gap", (pair,))
+        assert not recheck_certificate(rep, p4, K3)
+    # an edge of the host, or one added twice, is no step of a closure order
+    order = is_weakly_saturated(star_graph(4), K3).certificate
+    for forged in (((0, 1),) + order, order[:1] + order):
+        rep = PredicateReport("weakly-saturated", True, "closure-order", forged)
+        assert not recheck_certificate(rep, star_graph(4), K3)
 
 
 def test_semi_saturation_certificate_blocks_new_copy():
