@@ -8,29 +8,27 @@ finite search profiles can be compared against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .constructions import _clique_pair, bridge_pair_order, neighborhood_scan
 from .graphs import Graph, _bits, bridges, component_graphs, disjoint_union, is_star
 from .predicates import is_dom_sat
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(NamedTuple):
     value: Fraction
     source: str
 
 
-@dataclass(frozen=True)
-class BoundSet:
+class BoundSet(NamedTuple):
     """Density bounds for a pattern, each tagged with its source theorem."""
 
     lower: tuple[Bound, ...]
     upper: tuple[Bound, ...]
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
     @property
     def best_lower(self) -> Fraction | None:

@@ -7,6 +7,9 @@ runs.
 Exit codes: 0 verdict-true/success, 1 verdict-false/certification
 failure, 2 usage, parse, or infeasibility errors.  Every input error the
 library raises is a ValueError, and main alone turns one into exit 2.
+
+Each query runs in a fresh interpreter, so the layers only some
+subcommands use (bounds, constructions, verify) are imported inside them.
 """
 
 from __future__ import annotations
@@ -15,21 +18,8 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .bounds import structural_bounds
-from .constructions import (
-    bridge_family,
-    cycle_gadget,
-    dom_turan,
-    near_matching,
-    neighborhood_family,
-    path_family,
-    star_family,
-    star_plus_pair,
-    turan,
-)
 from .graph6 import Graph6Error, graph6_decode, graph6_encode
 from .graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from .predicates import PREDICATES, run_predicate
@@ -39,7 +29,10 @@ from .search import (
     density_profile,
     min_edges,
 )
-from .verify import SUITES
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from types import ModuleType
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -97,57 +90,63 @@ def _cmd_compute(args) -> int:
 
 class _Family(NamedTuple):
     needs: tuple[str, ...]  # flags without a default, checked in this order
-    build: Callable[[argparse.Namespace], list[Graph]]
+    build: Callable[[ModuleType, argparse.Namespace], list[Graph]]  # (constructions, args)
     claim: str | None  # the predicate --certify re-runs on the last graph built
     claim_pattern: Callable[[argparse.Namespace, list[Graph]], Graph] | None
 
 
 # In `construct --family` order; --pattern reaches build already decoded.
 FAMILIES = {
-    "near-matching": _Family(("k",), lambda a: [near_matching(a.k)], None, None),
+    "near-matching": _Family(("k",), lambda c, a: [c.near_matching(a.k)], None, None),
     "dom-turan": _Family(
-        ("n", "r"), lambda a: [dom_turan(a.n, a.r)],
+        ("n", "r"), lambda c, a: [c.dom_turan(a.n, a.r)],
         "dom-sat", lambda a, gs: complete_graph(a.r),
     ),
     "turan": _Family(
-        ("n", "r"), lambda a: [turan(a.n, a.r)],
+        ("n", "r"), lambda c, a: [c.turan(a.n, a.r)],
         "saturated", lambda a, gs: complete_graph(a.r + 1),
     ),
     "path": _Family(
-        ("n", "r"), lambda a: [path_family(a.n, a.r, pad=a.pad)],
+        ("n", "r"), lambda c, a: [c.path_family(a.n, a.r, pad=a.pad)],
         "dom-sat", lambda a, gs: path_graph(a.r),
     ),
     "cycle-gadget": _Family(
-        ("r",), lambda a: [cycle_gadget(a.n, a.r, a.loop_len)],
+        ("r",), lambda c, a: [c.cycle_gadget(a.n, a.r, a.loop_len)],
         "dom-sat", lambda a, gs: cycle_graph(a.r),
     ),
     "star": _Family(
-        ("n", "r"), lambda a: [star_family(a.n, a.r, pad=a.pad)],
+        ("n", "r"), lambda c, a: [c.star_family(a.n, a.r, pad=a.pad)],
         "dom-sat", lambda a, gs: star_graph(a.r),
     ),
     "star-plus": _Family(
-        ("s",), lambda a: list(star_plus_pair(a.s)),
+        ("s",), lambda c, a: list(c.star_plus_pair(a.s)),
         "dom-sat", lambda a, gs: gs[0],  # G_s, claimed for H_s
     ),
     "bridge": _Family(
-        ("pattern", "n"), lambda a: [bridge_family(a.pattern, a.n)],
+        ("pattern", "n"), lambda c, a: [c.bridge_family(a.pattern, a.n)],
         "dom-sat", lambda a, gs: a.pattern,
     ),
     "neighborhood": _Family(
-        ("pattern", "n"), lambda a: [neighborhood_family(a.pattern, a.n, pad=a.pad)],
+        ("pattern", "n"), lambda c, a: [c.neighborhood_family(a.pattern, a.n, pad=a.pad)],
         "dom-sat", lambda a, gs: a.pattern,
     ),
 }
 
+# sorted(verify.SUITES), kept here so that building the parser does not
+# import verify; a test holds the two equal
+SUITE_NAMES = ("connectivity", "constructions", "facts", "formulas", "lemma-trees")
+
 
 def _cmd_construct(args) -> int:
+    from . import constructions
+
     family = FAMILIES[args.family]
     for flag in family.needs:
         if getattr(args, flag) is None:
             raise ValueError(f"family {args.family!r} needs --{flag}")
     if "pattern" in family.needs:
         args.pattern = _decode_arg(args.pattern, "--pattern")
-    graphs = family.build(args)
+    graphs = family.build(constructions, args)
     claim = family.claim
     certified = None
     if args.certify and claim is not None:
@@ -182,6 +181,8 @@ def _frac(x: Fraction) -> str:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import structural_bounds
+
     bs = structural_bounds(_decode_arg(args.pattern, "--pattern"))
     if args.json:
         _emit_json(bs.to_json_dict())
@@ -221,6 +222,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import SUITES
+
     suite = SUITES[args.suite]()
     if args.json:
         _emit_json(
@@ -307,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("verify", parents=[common], help="run a property battery")
-    p.add_argument("--suite", required=True, choices=sorted(SUITES))
+    p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -2,15 +2,20 @@
 
 Vertices are 0..n-1 with n <= 64, so each adjacency row fits in one
 machine word and neighborhood algebra is plain integer bit twiddling.
-Every other module builds on the Graph type defined here.  Vertex and
-edge connectivity are decided by trying every small cut, and bridges by
-removing each edge in turn, which suits the desk-scale hosts the verify
-suites check and the patterns the bounds and bridge builders ask about.
+Every other module builds on the Graph type defined here: a plain
+slotted class that refuses attribute writes, compares and hashes by
+(n, rows), and copies and pickles through its validating constructor
+(it is not a dataclass, so importing it does not import dataclasses,
+inspect and ast on every command-line start).
+
+Vertex and edge connectivity are decided by trying every small cut, and
+bridges by removing each edge in turn, which suits the desk-scale hosts
+the verify suites check and the patterns the bounds and bridge builders
+ask about.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -24,7 +29,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
@@ -35,24 +39,45 @@ class Graph:
     are valid by construction and skip the check.
     """
 
+    __slots__ = ("n", "rows")
     n: int
     rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
-        if len(self.rows) != self.n:
+    def __init__(self, n: int, rows: tuple[int, ...]) -> None:
+        if not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+        if len(rows) != n:
             raise ValueError("adjacency row count does not match vertex count")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.rows):
+        full = (1 << n) - 1
+        for v, row in enumerate(rows):
             if row & ~full:
-                raise ValueError(f"row {v} has bits outside 0..{self.n - 1}")
+                raise ValueError(f"row {v} has bits outside 0..{n - 1}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for u in range(self.n):
-            for v in _bits(self.rows[u]):
-                if not self.rows[v] >> u & 1:
+        for u in range(n):
+            for v in _bits(rows[u]):
+                if not rows[v] >> u & 1:
                     raise ValueError(f"asymmetric adjacency at ({u}, {v})")
+        _set_n(self, n)
+        _set_rows(self, rows)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the validating constructor
+        return Graph, (self.n, self.rows)
 
     # -- basic queries ---------------------------------------------------
 
@@ -157,7 +182,7 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
-# slot setters; they bypass the frozen dataclass's __setattr__
+# slot setters; they bypass Graph.__setattr__, which refuses every write
 _set_n = Graph.n.__set__
 _set_rows = Graph.rows.__set__
 

@@ -22,7 +22,7 @@ question degenerate and are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .embed import copy_through_edge, embedding_exists, is_valid_embedding
 from .graphs import Graph, _bits, is_star, is_tree
@@ -35,8 +35,7 @@ CERT_CLOSURE_GAP = "closure-gap"
 CERT_CLOSURE_ORDER = "closure-order"
 
 
-@dataclass(frozen=True)
-class PredicateReport:
+class PredicateReport(NamedTuple):
     predicate: str
     verdict: bool
     certificate_kind: str = CERT_NONE

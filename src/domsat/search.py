@@ -14,8 +14,7 @@ can be checked by comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .canon import canonical_form
 from .enumeration import MAX_ENUM_VERTICES, enumerate_graphs, enumerate_trees
@@ -27,6 +26,9 @@ from .predicates import (
     tree_witness_ok,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 DEFAULT_MAX_N = 9
 
 SEARCH_PREDICATES = ("saturated", "semi-saturated", "dom-sat", "weakly-saturated")
@@ -36,8 +38,7 @@ class SearchCapError(ValueError):
     """Requested order above the configured search cap."""
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     pattern: str
     n: int
     predicate: str
@@ -57,8 +58,7 @@ class SearchResult:
         }
 
 
-@dataclass(frozen=True)
-class DensityProfile:
+class DensityProfile(NamedTuple):
     pattern: str
     predicate: str
     rows: tuple[tuple[int, int, Fraction], ...]
@@ -107,8 +107,7 @@ class DensityProfile:
 # -- pattern-derived degree floors ------------------------------------------
 
 
-@dataclass(frozen=True)
-class _PatternInfo:
+class _PatternInfo(NamedTuple):
     delta: int          # min degree over all pattern vertices
     delta_pos: int      # min degree over non-isolated pattern vertices
     has_k2_component: bool
@@ -234,6 +233,8 @@ def density_profile(
 
     n_max is checked against the pattern and both caps first, so a
     profile that cannot finish fails before its first sweep."""
+    from fractions import Fraction  # here, so that min_edges alone never loads it
+
     predicate = _normalize_predicate(predicate)
     _check_order(pattern, n_max, max_n)
     rows = []
@@ -247,8 +248,7 @@ def density_profile(
 # -- tree lemma battery -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LemmaSuiteReport:
+class LemmaSuiteReport(NamedTuple):
     j: int
     trees_checked: int
     stars: int

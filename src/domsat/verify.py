@@ -12,7 +12,7 @@ semi-saturated and degenerate for degree or connectivity conclusions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import dsat_clique_upper_edges, sat_clique
 from .constructions import (
@@ -40,8 +40,7 @@ from .predicates import is_dom_sat, is_dominated, is_semi_saturated
 from .search import min_edges, verify_lemma_suite
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     label: str
     passed: bool
     detail: str = ""
@@ -51,8 +50,7 @@ def _counterexample_check(label: str, bad: list) -> Check:
     return Check(label, not bad, f"{len(bad)} counterexamples" if bad else "")
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     checks: tuple[Check, ...]
 

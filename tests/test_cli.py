@@ -173,6 +173,15 @@ def test_help_lists_families_in_order_and_exits_zero():
         assert run_cli(*command, "--help").returncode == 0
 
 
+def test_suite_names_match_verify_and_help():
+    from domsat import cli, verify
+
+    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
+    out = run_cli("verify", "--help")
+    assert out.returncode == 0
+    assert "{" + ",".join(sorted(verify.SUITES)) + "}" in out.stdout
+
+
 def test_construct_star_plus_prints_both_graphs():
     out = run_cli("construct", "--family", "star-plus", "--s", "4")
     lines = out.stdout.strip().splitlines()

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -77,6 +79,40 @@ def test_derived_graphs_pass_full_validation():
         g.relabel([0, 0, 1])
     with pytest.raises(ValueError):
         g.relabel([0, 1])
+
+
+def test_graph_fields_cannot_be_assigned_or_deleted():
+    g = path_graph(3)
+    for field, value in (("n", 4), ("rows", (0, 0, 0))):
+        with pytest.raises(AttributeError):
+            setattr(g, field, value)
+        with pytest.raises(AttributeError):
+            delattr(g, field)
+    with pytest.raises(AttributeError):
+        g.label = "P3"  # no other attribute either
+    assert g == path_graph(3)
+    # derived graphs are built through the slot setters and are just as frozen
+    with pytest.raises(AttributeError):
+        g.add_edge(0, 2).n = 1
+
+
+def test_graph_equality_and_hash_follow_n_and_rows():
+    g = cycle_graph(5)
+    h = from_edges(5, [(4, 0), (3, 4), (2, 3), (1, 2), (0, 1)])
+    assert g == h and hash(g) == hash(h)
+    assert hash(g) == hash((g.n, g.rows))
+    assert g != (g.n, g.rows) and (g.n, g.rows) != g
+    assert g != empty_graph(5) and g != cycle_graph(6)
+    assert len({g, h, g.relabel([1, 2, 3, 4, 0]), empty_graph(5)}) == 2
+
+
+def test_graph_copy_deepcopy_and_pickle_round_trip():
+    for g in (empty_graph(1), path_graph(4), complete_bipartite(3, 4), complete_graph(64)):
+        for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert type(twin) is Graph
+            assert twin == g and hash(twin) == hash(g)
+            with pytest.raises(AttributeError):
+                twin.n = 2
 
 
 def test_basic_queries():
