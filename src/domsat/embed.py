@@ -5,18 +5,24 @@ pattern edge lands on a host edge (non-induced semantics: extra host
 edges among image vertices are fine).  This kernel powers every
 saturation predicate: existence, existence through a prescribed host
 edge, and exact copy counting.
+
+The saturation predicates ask one anchored question per vertex pair of
+one host: is there a copy through host edge uv, or through uv once it is
+added?  An edge probe sets the host up once (rows, degrees, degree
+masks) and answers each question by toggling that one edge in place, so
+a predicate call pays for one set-up and many anchored searches.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import inf
+from typing import NamedTuple
 
 from .canon import automorphism_order
 from .graphs import Graph
 
 
-@lru_cache(maxsize=1024)
 def _search_order(
     pattern: Graph, prefix: tuple[int, ...] = ()
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -45,6 +51,33 @@ def _search_order(
         for i in range(len(order))
     )
     return tuple(order), back
+
+
+class _Plan(NamedTuple):
+    """Per-pattern set-up, shared by every host the pattern meets.
+
+    (order, back) is the unanchored search order.  anchors holds, for
+    each pattern edge (a, b) in edges() order, (deg a, deg b, order,
+    back) with the search order prefixed by (a, b).  of_degree maps
+    each pattern degree to the pattern vertices that have it; it is
+    shared through the cache and never written.
+    """
+
+    degrees: tuple[int, ...]
+    order: tuple[int, ...]
+    back: tuple[tuple[int, ...], ...]
+    anchors: tuple
+    of_degree: dict[int, tuple[int, ...]]
+
+
+@lru_cache(maxsize=1024)
+def _plan(pattern: Graph) -> _Plan:
+    degs = pattern.degrees()
+    anchors = tuple(
+        (degs[a], degs[b], *_search_order(pattern, (a, b))) for a, b in pattern.edges()
+    )
+    of_degree = {d: tuple(pv for pv in range(pattern.n) if degs[pv] == d) for d in set(degs)}
+    return _Plan(degs, *_search_order(pattern), anchors, of_degree)
 
 
 def is_valid_embedding(pattern: Graph, host: Graph, mapping: tuple[int, ...]) -> bool:
@@ -99,18 +132,84 @@ def _mapping(order: tuple[int, ...], image: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _deg_masks(pattern: Graph, host: Graph) -> tuple[int, ...]:
+def _deg_ok(pattern_degs: tuple[int, ...], host_degs) -> list[int]:
     """deg_ok[pv] = host vertices with degree >= deg(pv)."""
-    hdegs = host.degrees()
-    out = []
-    for pv in range(pattern.n):
-        need = pattern.degree(pv)
-        acc = 0
-        for hv, d in enumerate(hdegs):
-            if d >= need:
-                acc |= 1 << hv
-        out.append(acc)
-    return tuple(out)
+    ge = {
+        d: sum(1 << hv for hv, hd in enumerate(host_degs) if hd >= d)
+        for d in set(pattern_degs)
+    }
+    return [ge[d] for d in pattern_degs]
+
+
+class _EdgeProbe:
+    """One host set up for many anchored questions about one pattern.
+
+    through_edge(u, v) asks for a copy through host edge uv; add and
+    remove toggle an edge in the probe's own copy of the host, keeping
+    the degrees and degree masks in step.  No Graph is built and no
+    argument is validated: callers pass pairs of distinct vertices.
+    """
+
+    __slots__ = ("of_degree", "anchors", "rows", "degs", "deg_ok", "image")
+
+    def __init__(self, pattern: Graph, host: Graph) -> None:
+        plan = _plan(pattern)
+        self.of_degree = plan.of_degree
+        # a pattern with more vertices than the host has no copy anywhere
+        self.anchors = plan.anchors if pattern.n <= host.n else ()
+        self.rows = list(host.rows)
+        self.degs = [row.bit_count() for row in host.rows]
+        self.deg_ok = _deg_ok(plan.degrees, self.degs)
+        self.image = [0] * pattern.n
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return bool(self.rows[u] >> v & 1)
+
+    def through_edge(self, u: int, v: int) -> tuple[int, ...] | None:
+        """Embedding whose image edge set contains edge uv, or None.
+
+        Anchors each pattern edge onto uv, then onto vu, skipping an
+        anchor whose pattern degrees the host vertices cannot meet.
+        """
+        rows, deg_ok, image = self.rows, self.deg_ok, self.image
+        du, dv = self.degs[u], self.degs[v]
+        used = (1 << u) | (1 << v)
+        orientations = ((u, v, du, dv), (v, u, dv, du))
+        for da, db, order, back in self.anchors:
+            for hu, hv, dhu, dhv in orientations:
+                if da > dhu or db > dhv:
+                    continue
+                image[0], image[1] = hu, hv
+                if _search(rows, order, back, deg_ok, image, 2, used, 1):
+                    return _mapping(order, image)
+        return None
+
+    def add(self, u: int, v: int) -> None:
+        """Add non-edge uv; each end joins the masks its new degree meets."""
+        rows, degs, deg_ok = self.rows, self.degs, self.deg_ok
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        for w in (u, v):
+            d = degs[w] = degs[w] + 1
+            for pv in self.of_degree.get(d, ()):
+                deg_ok[pv] |= 1 << w
+
+    def remove(self, u: int, v: int) -> None:
+        """Undo add(u, v)."""
+        rows, degs, deg_ok = self.rows, self.degs, self.deg_ok
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+        for w in (u, v):
+            for pv in self.of_degree.get(degs[w], ()):
+                deg_ok[pv] &= ~(1 << w)
+            degs[w] -= 1
+
+    def through_added(self, u: int, v: int) -> tuple[int, ...] | None:
+        """through_edge(u, v) in host + uv; the probe's host is restored."""
+        self.add(u, v)
+        found = self.through_edge(u, v)
+        self.remove(u, v)
+        return found
 
 
 def embedding_exists(pattern: Graph, host: Graph) -> tuple[int, ...] | None:
@@ -120,13 +219,13 @@ def embedding_exists(pattern: Graph, host: Graph) -> tuple[int, ...] | None:
     """
     if pattern.n > host.n or pattern.edge_count > host.edge_count:
         return None
-    deg_ok = _deg_masks(pattern, host)
-    if any(not m for m in deg_ok):
+    plan = _plan(pattern)
+    deg_ok = _deg_ok(plan.degrees, host.degrees())
+    if not all(deg_ok):
         return None
-    order, back = _search_order(pattern)
     image = [0] * pattern.n
-    if _search(host.rows, order, back, deg_ok, image, 0, 0, 1):
-        return _mapping(order, image)
+    if _search(host.rows, plan.order, plan.back, deg_ok, image, 0, 0, 1):
+        return _mapping(plan.order, image)
     return None
 
 
@@ -142,30 +241,18 @@ def copy_through_edge(
     u, v = e
     if not host.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge of the host")
-    if pattern.n > host.n:
-        return None
-    deg_ok = _deg_masks(pattern, host)
-    image = [0] * pattern.n
-    for a, b in pattern.edges():
-        for pa, pb, hu, hv in ((a, b, u, v), (a, b, v, u)):
-            if pattern.degree(pa) > host.degree(hu) or pattern.degree(pb) > host.degree(hv):
-                continue
-            order, back = _search_order(pattern, (pa, pb))
-            image[0], image[1] = hu, hv
-            if _search(host.rows, order, back, deg_ok, image, 2, (1 << hu) | (1 << hv), 1):
-                return _mapping(order, image)
-    return None
+    return _EdgeProbe(pattern, host).through_edge(u, v)
 
 
 def count_embeddings(pattern: Graph, host: Graph) -> int:
     """Number of injective edge-preserving maps pattern -> host."""
     if pattern.n > host.n or pattern.edge_count > host.edge_count:
         return 0
-    deg_ok = _deg_masks(pattern, host)
-    if any(not m for m in deg_ok):
+    plan = _plan(pattern)
+    deg_ok = _deg_ok(plan.degrees, host.degrees())
+    if not all(deg_ok):
         return 0
-    order, back = _search_order(pattern)
-    return _search(host.rows, order, back, deg_ok, [0] * pattern.n, 0, 0, inf)
+    return _search(host.rows, plan.order, plan.back, deg_ok, [0] * pattern.n, 0, 0, inf)
 
 
 def count_copies(pattern: Graph, host: Graph) -> int:

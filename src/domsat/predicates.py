@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .embed import copy_through_edge, embedding_exists, is_valid_embedding
+from .embed import _EdgeProbe, copy_through_edge, embedding_exists, is_valid_embedding
 from .graphs import Graph, _bits, is_star, is_tree
 
 CERT_NONE = "none"
@@ -74,9 +74,9 @@ def is_free(g: Graph, f: Graph) -> PredicateReport:
 def is_semi_saturated(g: Graph, f: Graph) -> PredicateReport:
     """Every non-edge of g, once added, lies in a new copy of f."""
     _require_pattern(f)
+    probe = _EdgeProbe(f, g)
     for e in g.non_edges():
-        extended = g.add_edge(*e)
-        if copy_through_edge(f, extended, e) is None:
+        if probe.through_added(*e) is None:
             return PredicateReport("semi-saturated", False, CERT_NON_EDGE, e)
     return PredicateReport("semi-saturated", True)
 
@@ -95,8 +95,9 @@ def is_saturated(g: Graph, f: Graph) -> PredicateReport:
 def is_dominated(g: Graph, f: Graph) -> PredicateReport:
     """Every edge of g lies in a subgraph of g isomorphic to f."""
     _require_pattern(f)
+    probe = _EdgeProbe(f, g)
     for e in g.edges():
-        if copy_through_edge(f, g, e) is None:
+        if probe.through_edge(*e) is None:
             return PredicateReport("dominated", False, CERT_UNCOVERED_EDGE, e)
     return PredicateReport("dominated", True)
 
@@ -120,22 +121,21 @@ def is_weakly_saturated(g: Graph, f: Graph) -> PredicateReport:
     ordered-completion definition; the order found is the certificate.
     """
     _require_pattern(f)
-    current = g
+    probe = _EdgeProbe(f, g)
+    pending = g.non_edges()
     added: list[tuple[int, int]] = []
-    progress = True
-    while progress:
-        progress = False
-        for e in current.non_edges():
-            extended = current.add_edge(*e)
-            if copy_through_edge(f, extended, e) is not None:
-                current = extended
-                added.append(e)
-                progress = True
-                break
-    gap = current.non_edges()
-    if gap:
+    i = 0
+    while i < len(pending):
+        if probe.through_added(*pending[i]) is None:
+            i += 1
+        else:
+            # rescan from the start, as a restart on the grown graph would
+            probe.add(*pending[i])
+            added.append(pending.pop(i))
+            i = 0
+    if pending:
         return PredicateReport(
-            "weakly-saturated", False, CERT_CLOSURE_GAP, tuple(gap)
+            "weakly-saturated", False, CERT_CLOSURE_GAP, tuple(pending)
         )
     return PredicateReport(
         "weakly-saturated", True, CERT_CLOSURE_ORDER, tuple(added)
@@ -180,8 +180,8 @@ def recheck_certificate(report: PredicateReport, g: Graph, f: Graph) -> bool:
 
     Returns True when the replay reproduces the report's verdict.  A
     certificate of a kind the report's predicate never emits, one naming
-    a pair that is not two distinct vertices of g, or a closure order
-    that adds an edge twice replays False.
+    a pair that is not two distinct vertices of g, a closure order that
+    adds an edge twice, or an empty closure gap replays False.
     """
     kind, cert = report.certificate_kind, report.certificate
     if kind not in CERT_KINDS.get(report.predicate, ()):
@@ -204,30 +204,28 @@ def recheck_certificate(report: PredicateReport, g: Graph, f: Graph) -> bool:
         if not g.has_edge(u, v):
             return False
         return not report.verdict and copy_through_edge(f, g, (u, v)) is None
+    probe = _EdgeProbe(f, g)
     if kind == CERT_CLOSURE_GAP:
-        # the complete graph minus the gap is a closure fixed point over g
-        stuck = g
+        # the complete graph minus a non-empty gap is a closure fixed
+        # point over g; an empty gap leaves K_n, which proves nothing
         gap = set(cert)
         for e in g.non_edges():
             if e not in gap:
-                stuck = stuck.add_edge(*e)
-        if any(stuck.has_edge(u, v) for u, v in gap):
+                probe.add(*e)
+        if not gap or any(probe.has_edge(u, v) for u, v in gap):
             return False
-        for e in gap:
-            extended = stuck.add_edge(*e)
-            if copy_through_edge(f, extended, e) is not None:
-                return False
+        if any(probe.through_added(*e) is not None for e in gap):
+            return False
         return not report.verdict
     # CERT_CLOSURE_ORDER
-    current = g
     for e in cert:
-        if current.has_edge(*e):
+        if probe.has_edge(*e):
             return False
-        extended = current.add_edge(*e)
-        if copy_through_edge(f, extended, e) is None:
+        probe.add(*e)
+        if probe.through_edge(*e) is None:
             return False
-        current = extended
-    return report.verdict and not current.non_edges()
+    complete = all(row | 1 << u == g.vertex_mask for u, row in enumerate(probe.rows))
+    return report.verdict and complete
 
 
 # -- the tree witness lemma -------------------------------------------------

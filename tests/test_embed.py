@@ -20,6 +20,7 @@ from domsat import (
     path_graph,
     star_graph,
 )
+from domsat.embed import _EdgeProbe
 
 PETERSEN = from_edges(
     10,
@@ -131,6 +132,26 @@ def test_copy_through_edge_examples():
     assert copy_through_edge(p3, p3, (0, 1)) is not None
     with pytest.raises(ValueError):
         copy_through_edge(complete_graph(3), cycle_graph(4), (0, 2))
+
+
+@given(graphs(min_n=2, max_n=7))
+@settings(max_examples=60, deadline=None)
+def test_edge_probe_matches_built_hosts_and_restores(host):
+    for pattern in (complete_graph(3), cycle_graph(4), path_graph(4), star_graph(3)):
+        probe = _EdgeProbe(pattern, host)
+        fresh = (probe.rows[:], probe.degs[:], probe.deg_ok[:])
+        for e in host.edges():
+            assert probe.through_edge(*e) == copy_through_edge(pattern, host, e)
+        for e in host.non_edges():
+            assert probe.through_added(*e) == copy_through_edge(pattern, host.add_edge(*e), e)
+        assert (probe.rows, probe.degs, probe.deg_ok) == fresh
+        # a committed edge leaves the probe in the state of a probe of host + e
+        grown_host = host
+        for e in host.non_edges()[:2]:
+            probe.add(*e)
+            grown_host = grown_host.add_edge(*e)
+            grown = _EdgeProbe(pattern, grown_host)
+            assert (probe.rows, probe.degs, probe.deg_ok) == (grown.rows, grown.degs, grown.deg_ok)
 
 
 @given(graphs(min_n=3, max_n=6), st.randoms(use_true_random=False))

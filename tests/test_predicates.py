@@ -1,10 +1,16 @@
+import hashlib
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
 from domsat import (
+    all_classes,
     complete_graph,
+    copy_through_edge,
     cycle_graph,
     disjoint_union,
     empty_graph,
@@ -24,6 +30,7 @@ from domsat import (
     tree_witness_ok,
     turan,
 )
+from domsat.predicates import PREDICATES
 
 K3 = complete_graph(3)
 
@@ -132,6 +139,28 @@ _FORGED = {
         PredicateReport("dominated", False, "uncovered-edge", (-1, 2)),
         path_graph(4),
     ),
+    # K4 minus the one gap pair is no fixed point: adding it makes a K3
+    "closure-gap-missing-pairs": (
+        PredicateReport("weakly-saturated", False, "closure-gap", ((0, 1),)),
+        empty_graph(4),
+    ),
+    "closure-order-cut-short": (
+        PredicateReport(
+            "weakly-saturated", True, "closure-order",
+            is_weakly_saturated(star_graph(4), K3).certificate[:-1],
+        ),
+        star_graph(4),
+    ),
+    # an empty gap makes K_n the stuck graph, which proves nothing; both
+    # hosts are weakly K3-saturated
+    "empty-closure-gap-on-star": (
+        PredicateReport("weakly-saturated", False, "closure-gap", ()),
+        star_graph(4),
+    ),
+    "empty-closure-gap-on-complete": (
+        PredicateReport("weakly-saturated", False, "closure-gap", ()),
+        complete_graph(4),
+    ),
 }
 
 
@@ -158,6 +187,103 @@ def test_semi_saturation_certificate_blocks_new_copy():
     rep = is_semi_saturated(disjoint_union([K3, K3]), cycle_graph(6))
     assert not rep.verdict
     assert recheck_certificate(rep, disjoint_union([K3, K3]), cycle_graph(6))
+
+
+# -- the predicates against their definitions ---------------------------------
+#
+# The reference decides each predicate with one copy_through_edge call on a
+# freshly built host per edge or non-edge, and the closure by restarting the
+# greedy scan on a new graph after every added edge.
+
+
+def _ref_semi(g, f):
+    for e in g.non_edges():
+        if copy_through_edge(f, g.add_edge(*e), e) is None:
+            return PredicateReport("", False, "non-edge", e)
+    return PredicateReport("", True)
+
+
+def _ref_dominated(g, f):
+    for e in g.edges():
+        if copy_through_edge(f, g, e) is None:
+            return PredicateReport("", False, "uncovered-edge", e)
+    return PredicateReport("", True)
+
+
+def _ref_weakly(g, f):
+    added = []
+    grown = True
+    while grown:
+        grown = False
+        for e in g.non_edges():
+            if copy_through_edge(f, g.add_edge(*e), e) is not None:
+                g = g.add_edge(*e)
+                added.append(e)
+                grown = True
+                break
+    gap = g.non_edges()
+    if gap:
+        return PredicateReport("", False, "closure-gap", tuple(gap))
+    return PredicateReport("", True, "closure-order", tuple(added))
+
+
+_REF_PARTS = {
+    "free": (is_free,),
+    "saturated": (is_free, _ref_semi),
+    "semi-saturated": (_ref_semi,),
+    "dominated": (_ref_dominated,),
+    "dom-sat": (_ref_dominated, _ref_semi),
+}
+
+
+def _reference(name, g, f):
+    if name == "weakly-saturated":
+        return _ref_weakly(g, f)._replace(predicate=name)
+    for part in _REF_PARTS[name]:
+        rep = part(g, f)
+        if not rep.verdict:
+            return PredicateReport(name, *rep[1:])
+    return PredicateReport(name, True)
+
+
+def test_predicates_match_per_pair_reference(pool):
+    hosts = [g for n in range(2, 7) for g in all_classes(n) if g.edge_count]
+    assert len(hosts) == 202
+    for host in hosts:
+        rows = host.rows
+        for pattern in pool.values():
+            for name in PREDICATES:
+                rep = run_predicate(name, host, pattern)
+                assert rep == _reference(name, host, pattern), (name, host, pattern)
+                # the probe works on its own copy of the host
+                assert run_predicate(name, host, pattern) == rep
+                assert recheck_certificate(rep, host, pattern)
+        assert host.rows is rows
+
+
+def _digest_hosts():
+    rng = random.Random(20261018)
+    hosts = []
+    for _ in range(50):
+        n = rng.randint(7, 10)
+        p = rng.choice((0.2, 0.35, 0.5, 0.65, 0.8))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        hosts.append(from_edges(n, pairs))
+    return hosts
+
+
+def test_reports_and_edge_copies_digest(pool):
+    # recorded before predicates shared one host set-up per call: every
+    # report and every copy_through_edge mapping is unchanged by it
+    h = hashlib.sha256()
+    for host in _digest_hosts():
+        for pattern in pool.values():
+            for name in PREDICATES:
+                rep = run_predicate(name, host, pattern)
+                h.update(json.dumps(rep.to_json_dict(), sort_keys=True).encode())
+            for e in host.edges():
+                h.update(repr(copy_through_edge(pattern, host, e)).encode())
+    assert h.hexdigest() == "5bee70c4a6d0d9664b9d55e92e4aadaeaefebd3cc46b25bb645061dab0cc2c1f"
 
 
 def test_report_json_round_trip():
