@@ -6,11 +6,11 @@ edges among image vertices are fine).  This kernel powers every
 saturation predicate: existence, existence through a prescribed host
 edge, and exact copy counting.
 
-The saturation predicates ask one anchored question per vertex pair of
-one host: is there a copy through host edge uv, or through uv once it is
-added?  An edge probe sets the host up once (rows, degrees, degree
-masks) and answers each question by toggling that one edge in place, so
-a predicate call pays for one set-up and many anchored searches.
+One set-up serves unanchored, anchored and counting questions: a _Host
+copies a host's rows, counts its degrees and builds its degree masks
+once, then answers "is there a copy", "how many", "a copy through edge
+uv" and "a copy through uv once added" (by toggling that one edge in
+place), so a predicate call pays for one set-up and many searches.
 """
 
 from __future__ import annotations
@@ -132,38 +132,45 @@ def _mapping(order: tuple[int, ...], image: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _deg_ok(pattern_degs: tuple[int, ...], host_degs) -> list[int]:
-    """deg_ok[pv] = host vertices with degree >= deg(pv)."""
-    ge = {
-        d: sum(1 << hv for hv, hd in enumerate(host_degs) if hd >= d)
-        for d in set(pattern_degs)
-    }
-    return [ge[d] for d in pattern_degs]
+class _Host:
+    """One host set up for many questions about one pattern.
 
-
-class _EdgeProbe:
-    """One host set up for many anchored questions about one pattern.
-
-    through_edge(u, v) asks for a copy through host edge uv; add and
-    remove toggle an edge in the probe's own copy of the host, keeping
-    the degrees and degree masks in step.  No Graph is built and no
-    argument is validated: callers pass pairs of distinct vertices.
+    first and count run the unanchored search; through_edge(u, v) asks
+    for a copy through host edge uv; add and remove toggle an edge in
+    the host's own copy of the rows, keeping the degrees and degree
+    masks in step.  No Graph is built and no argument is validated:
+    callers pass pairs of distinct vertices.
     """
 
-    __slots__ = ("of_degree", "anchors", "rows", "degs", "deg_ok", "image")
+    __slots__ = ("plan", "anchors", "rows", "degs", "deg_ok", "image")
 
     def __init__(self, pattern: Graph, host: Graph) -> None:
-        plan = _plan(pattern)
-        self.of_degree = plan.of_degree
+        plan = self.plan = _plan(pattern)
         # a pattern with more vertices than the host has no copy anywhere
         self.anchors = plan.anchors if pattern.n <= host.n else ()
         self.rows = list(host.rows)
-        self.degs = [row.bit_count() for row in host.rows]
-        self.deg_ok = _deg_ok(plan.degrees, self.degs)
+        degs = self.degs = [row.bit_count() for row in host.rows]
+        # deg_ok[pv] = host vertices with degree >= deg(pv)
+        ge = {d: sum(1 << hv for hv, hd in enumerate(degs) if hd >= d) for d in plan.of_degree}
+        self.deg_ok = [ge[d] for d in plan.degrees]
         self.image = [0] * pattern.n
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
+
+    def count(self, limit: float = inf) -> int:
+        """Embeddings of the pattern into the host, stopping at limit."""
+        plan, degs, deg_ok = self.plan, self.degs, self.deg_ok
+        # none when the pattern has more vertices or edges, or a degree no vertex meets
+        if len(plan.order) > len(degs) or len(plan.anchors) > sum(degs) // 2 or not all(deg_ok):
+            return 0
+        return _search(self.rows, plan.order, plan.back, deg_ok, self.image, 0, 0, limit)
+
+    def first(self) -> tuple[int, ...] | None:
+        """The first embedding in search order, or None."""
+        if self.count(1):
+            return _mapping(self.plan.order, self.image)
+        return None
 
     def through_edge(self, u: int, v: int) -> tuple[int, ...] | None:
         """Embedding whose image edge set contains edge uv, or None.
@@ -191,7 +198,7 @@ class _EdgeProbe:
         rows[v] |= 1 << u
         for w in (u, v):
             d = degs[w] = degs[w] + 1
-            for pv in self.of_degree.get(d, ()):
+            for pv in self.plan.of_degree.get(d, ()):
                 deg_ok[pv] |= 1 << w
 
     def remove(self, u: int, v: int) -> None:
@@ -200,12 +207,12 @@ class _EdgeProbe:
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
         for w in (u, v):
-            for pv in self.of_degree.get(degs[w], ()):
+            for pv in self.plan.of_degree.get(degs[w], ()):
                 deg_ok[pv] &= ~(1 << w)
             degs[w] -= 1
 
     def through_added(self, u: int, v: int) -> tuple[int, ...] | None:
-        """through_edge(u, v) in host + uv; the probe's host is restored."""
+        """through_edge(u, v) in host + uv; the host is restored."""
         self.add(u, v)
         found = self.through_edge(u, v)
         self.remove(u, v)
@@ -217,16 +224,7 @@ def embedding_exists(pattern: Graph, host: Graph) -> tuple[int, ...] | None:
 
     The returned tuple maps pattern vertex i to host vertex tuple[i].
     """
-    if pattern.n > host.n or pattern.edge_count > host.edge_count:
-        return None
-    plan = _plan(pattern)
-    deg_ok = _deg_ok(plan.degrees, host.degrees())
-    if not all(deg_ok):
-        return None
-    image = [0] * pattern.n
-    if _search(host.rows, plan.order, plan.back, deg_ok, image, 0, 0, 1):
-        return _mapping(plan.order, image)
-    return None
+    return _Host(pattern, host).first()
 
 
 def copy_through_edge(
@@ -241,18 +239,12 @@ def copy_through_edge(
     u, v = e
     if not host.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge of the host")
-    return _EdgeProbe(pattern, host).through_edge(u, v)
+    return _Host(pattern, host).through_edge(u, v)
 
 
 def count_embeddings(pattern: Graph, host: Graph) -> int:
     """Number of injective edge-preserving maps pattern -> host."""
-    if pattern.n > host.n or pattern.edge_count > host.edge_count:
-        return 0
-    plan = _plan(pattern)
-    deg_ok = _deg_ok(plan.degrees, host.degrees())
-    if not all(deg_ok):
-        return 0
-    return _search(host.rows, plan.order, plan.back, deg_ok, [0] * pattern.n, 0, 0, inf)
+    return _Host(pattern, host).count()
 
 
 def count_copies(pattern: Graph, host: Graph) -> int:

@@ -43,13 +43,16 @@ class Graph:
     n: int
     rows: tuple[int, ...]
 
-    def __init__(self, n: int, rows: tuple[int, ...]) -> None:
-        if not 1 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+    def __init__(self, n: int, rows: Sequence[int]) -> None:
+        if type(n) is not int or not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count {n!r} outside 1..{MAX_VERTICES}")
+        rows = tuple(rows)
         if len(rows) != n:
             raise ValueError("adjacency row count does not match vertex count")
         full = (1 << n) - 1
         for v, row in enumerate(rows):
+            if type(row) is not int:
+                raise ValueError(f"row {v} is not an int: {row!r}")
             if row & ~full:
                 raise ValueError(f"row {v} has bits outside 0..{n - 1}")
             if row >> v & 1:

@@ -2,15 +2,17 @@
 
 Each predicate answers a yes/no question about a host graph g against a
 pattern f and ships a certificate that can be replayed against (g, f) to
-reproduce the verdict:
+reproduce the verdict.  All but weakly-saturated are conjunctions of
+tests run in order on one set-up of g (embed._Host); the first test that
+finds its witness fails the predicate and reports it as the certificate:
 
   free            g has no f-subgraph; failure cert: one embedding
   semi-saturated  every added edge creates a new f-copy through itself;
                   failure cert: a violating non-edge
-  saturated       free and semi-saturated
+  saturated       free, then semi-saturated
   dominated       every edge of g lies in an f-copy; failure cert: an
                   uncovered edge
-  dom-sat         dominated and semi-saturated
+  dom-sat         dominated, then semi-saturated
   weakly-saturated  greedily adding any edge that creates a new f-copy
                   through itself reaches the complete graph; success
                   cert: the greedy edge order, failure cert: the stuck
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .embed import _EdgeProbe, copy_through_edge, embedding_exists, is_valid_embedding
+from .embed import _Host, is_valid_embedding
 from .graphs import Graph, _bits, is_star, is_tree
 
 CERT_NONE = "none"
@@ -62,55 +64,65 @@ def _require_pattern(f: Graph) -> None:
         raise ValueError("pattern must have at least one edge")
 
 
+def _first_without_copy(pairs: list[tuple[int, int]], copy_through) -> tuple[int, int] | None:
+    """First pair uv with no copy through it, or None."""
+    for e in pairs:
+        if copy_through(*e) is None:
+            return e
+    return None
+
+
+# certificate kind -> the witness that fails its test, or None
+_WITNESS = {
+    CERT_EMBEDDING: lambda probe, g: probe.first(),
+    CERT_NON_EDGE: lambda probe, g: _first_without_copy(g.non_edges(), probe.through_added),
+    CERT_UNCOVERED_EDGE: lambda probe, g: _first_without_copy(g.edges(), probe.through_edge),
+}
+
+# each predicate's tests, in the order their failures are reported
+_TESTS = {
+    "free": (CERT_EMBEDDING,),
+    "semi-saturated": (CERT_NON_EDGE,),
+    "saturated": (CERT_EMBEDDING, CERT_NON_EDGE),
+    "dominated": (CERT_UNCOVERED_EDGE,),
+    "dom-sat": (CERT_UNCOVERED_EDGE, CERT_NON_EDGE),
+}
+
+
+def _conjunction(name: str, g: Graph, f: Graph) -> PredicateReport:
+    """Run the tests of predicate name on one set-up of g."""
+    _require_pattern(f)
+    probe = _Host(f, g)
+    for kind in _TESTS[name]:
+        found = _WITNESS[kind](probe, g)
+        if found is not None:
+            return PredicateReport(name, False, kind, found)
+    return PredicateReport(name, True)
+
+
 def is_free(g: Graph, f: Graph) -> PredicateReport:
     """No subgraph of g is isomorphic to f."""
-    _require_pattern(f)
-    found = embedding_exists(f, g)
-    if found is None:
-        return PredicateReport("free", True)
-    return PredicateReport("free", False, CERT_EMBEDDING, found)
+    return _conjunction("free", g, f)
 
 
 def is_semi_saturated(g: Graph, f: Graph) -> PredicateReport:
     """Every non-edge of g, once added, lies in a new copy of f."""
-    _require_pattern(f)
-    probe = _EdgeProbe(f, g)
-    for e in g.non_edges():
-        if probe.through_added(*e) is None:
-            return PredicateReport("semi-saturated", False, CERT_NON_EDGE, e)
-    return PredicateReport("semi-saturated", True)
+    return _conjunction("semi-saturated", g, f)
 
 
 def is_saturated(g: Graph, f: Graph) -> PredicateReport:
     """f-free and f-semi-saturated, reporting the first failure."""
-    free = is_free(g, f)
-    if not free.verdict:
-        return PredicateReport("saturated", False, free.certificate_kind, free.certificate)
-    semi = is_semi_saturated(g, f)
-    if not semi.verdict:
-        return PredicateReport("saturated", False, semi.certificate_kind, semi.certificate)
-    return PredicateReport("saturated", True)
+    return _conjunction("saturated", g, f)
 
 
 def is_dominated(g: Graph, f: Graph) -> PredicateReport:
     """Every edge of g lies in a subgraph of g isomorphic to f."""
-    _require_pattern(f)
-    probe = _EdgeProbe(f, g)
-    for e in g.edges():
-        if probe.through_edge(*e) is None:
-            return PredicateReport("dominated", False, CERT_UNCOVERED_EDGE, e)
-    return PredicateReport("dominated", True)
+    return _conjunction("dominated", g, f)
 
 
 def is_dom_sat(g: Graph, f: Graph) -> PredicateReport:
     """f-dominated and f-semi-saturated."""
-    dom = is_dominated(g, f)
-    if not dom.verdict:
-        return PredicateReport("dom-sat", False, dom.certificate_kind, dom.certificate)
-    semi = is_semi_saturated(g, f)
-    if not semi.verdict:
-        return PredicateReport("dom-sat", False, semi.certificate_kind, semi.certificate)
-    return PredicateReport("dom-sat", True)
+    return _conjunction("dom-sat", g, f)
 
 
 def is_weakly_saturated(g: Graph, f: Graph) -> PredicateReport:
@@ -121,7 +133,7 @@ def is_weakly_saturated(g: Graph, f: Graph) -> PredicateReport:
     ordered-completion definition; the order found is the certificate.
     """
     _require_pattern(f)
-    probe = _EdgeProbe(f, g)
+    probe = _Host(f, g)
     pending = g.non_edges()
     added: list[tuple[int, int]] = []
     i = 0
@@ -160,51 +172,41 @@ def run_predicate(name: str, g: Graph, f: Graph) -> PredicateReport:
 
 
 # the certificate kinds each predicate can emit
-CERT_KINDS = {
-    "free": (CERT_NONE, CERT_EMBEDDING),
-    "saturated": (CERT_NONE, CERT_EMBEDDING, CERT_NON_EDGE),
-    "semi-saturated": (CERT_NONE, CERT_NON_EDGE),
-    "dominated": (CERT_NONE, CERT_UNCOVERED_EDGE),
-    "dom-sat": (CERT_NONE, CERT_UNCOVERED_EDGE, CERT_NON_EDGE),
-    "weakly-saturated": (CERT_CLOSURE_GAP, CERT_CLOSURE_ORDER),
-}
+CERT_KINDS = {name: (CERT_NONE, *kinds) for name, kinds in _TESTS.items()}
+CERT_KINDS["weakly-saturated"] = (CERT_CLOSURE_GAP, CERT_CLOSURE_ORDER)
 
 
-def _is_pair(g: Graph, e) -> bool:
-    """e is a pair of distinct vertices of g."""
-    return isinstance(e, tuple) and len(e) == 2 and e[0] != e[1] and all(0 <= v < g.n for v in e)
+def _vertices(g: Graph, t, k: int) -> bool:
+    """t is a tuple of k distinct int vertices of g."""
+    ints = isinstance(t, tuple) and all(type(v) is int and 0 <= v < g.n for v in t)
+    return ints and len(t) == len(set(t)) == k
 
 
 def recheck_certificate(report: PredicateReport, g: Graph, f: Graph) -> bool:
     """Replay a report's certificate against (g, f).
 
     Returns True when the replay reproduces the report's verdict.  A
-    certificate of a kind the report's predicate never emits, one naming
-    a pair that is not two distinct vertices of g, a closure order that
-    adds an edge twice, or an empty closure gap replays False.
+    certificate that is not a tuple or of a kind the predicate never
+    emits, a pair or embedding not made of distinct int vertices of g, a
+    closure order that adds an edge twice, or an empty gap replays False.
     """
     kind, cert = report.certificate_kind, report.certificate
-    if kind not in CERT_KINDS.get(report.predicate, ()):
+    if kind not in CERT_KINDS.get(report.predicate, ()) or not isinstance(cert, tuple):
         return False
     if kind == CERT_NONE:
         return run_predicate(report.predicate, g, f).verdict is report.verdict
     if kind == CERT_EMBEDDING:
-        return not report.verdict and is_valid_embedding(f, g, cert)
-    pairs = (cert,) if kind in (CERT_NON_EDGE, CERT_UNCOVERED_EDGE) else cert
-    if not all(_is_pair(g, e) for e in pairs):
+        return not report.verdict and _vertices(g, cert, f.n) and is_valid_embedding(f, g, cert)
+    probe = _Host(f, g)
+    if kind in (CERT_NON_EDGE, CERT_UNCOVERED_EDGE):
+        # a non-edge is replayed in g + uv, an uncovered edge in g itself
+        if not _vertices(g, cert, 2) or probe.has_edge(*cert) is (kind == CERT_NON_EDGE):
+            return False
+        if kind == CERT_NON_EDGE:
+            probe.add(*cert)
+        return not report.verdict and probe.through_edge(*cert) is None
+    if not all(_vertices(g, e, 2) for e in cert):
         return False
-    if kind == CERT_NON_EDGE:
-        u, v = cert
-        if g.has_edge(u, v):
-            return False
-        extended = g.add_edge(u, v)
-        return not report.verdict and copy_through_edge(f, extended, (u, v)) is None
-    if kind == CERT_UNCOVERED_EDGE:
-        u, v = cert
-        if not g.has_edge(u, v):
-            return False
-        return not report.verdict and copy_through_edge(f, g, (u, v)) is None
-    probe = _EdgeProbe(f, g)
     if kind == CERT_CLOSURE_GAP:
         # the complete graph minus a non-empty gap is a closure fixed
         # point over g; an empty gap leaves K_n, which proves nothing

@@ -1,7 +1,10 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
@@ -15,6 +18,16 @@ from domsat import (
     path_graph,
     star_graph,
 )
+
+
+def run_python(*args: str, env_extra=None, stdin=None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter in the repo root with the sources on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(env_extra or {})
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, input=stdin, cwd=ROOT
+    )
 
 
 @st.composite

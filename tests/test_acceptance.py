@@ -5,12 +5,8 @@ values are asserted with no tolerance since everything here is integer or
 rational arithmetic.
 """
 
-import os
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 from domsat import (
     Graph,
@@ -35,7 +31,7 @@ from domsat.verify import (
     suite_facts,
 )
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from conftest import run_python
 
 
 def _report(number, name, ok=True):
@@ -150,8 +146,6 @@ def test_criterion_08_density_trend():
 
 
 def test_criterion_09_fresh_process_determinism():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     instances = [
         ("Bw", "4"),   # dom-sat minimum 5
         ("Bw", "5"),   # dom-sat minimum 6
@@ -161,10 +155,9 @@ def test_criterion_09_fresh_process_determinism():
     for pattern, n in instances:
         outputs = []
         for _ in range(2):
-            proc = subprocess.run(
-                [sys.executable, "-m", "domsat", "compute",
-                 "--pattern", pattern, "--n", n, "--predicate", "dom-sat"],
-                capture_output=True, text=True, env=env,
+            proc = run_python(
+                "-m", "domsat", "compute",
+                "--pattern", pattern, "--n", n, "--predicate", "dom-sat",
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)

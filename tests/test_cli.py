@@ -1,26 +1,12 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from conftest import run_python
 
 
 def run_cli(*args, env_extra=None, stdin=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "domsat", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        input=stdin,
-    )
+    return run_python("-m", "domsat", *args, env_extra=env_extra, stdin=stdin)
 
 
 def _assert_input_error(out):

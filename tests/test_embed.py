@@ -20,7 +20,7 @@ from domsat import (
     path_graph,
     star_graph,
 )
-from domsat.embed import _EdgeProbe
+from domsat.embed import _Host
 
 PETERSEN = from_edges(
     10,
@@ -138,7 +138,7 @@ def test_copy_through_edge_examples():
 @settings(max_examples=60, deadline=None)
 def test_edge_probe_matches_built_hosts_and_restores(host):
     for pattern in (complete_graph(3), cycle_graph(4), path_graph(4), star_graph(3)):
-        probe = _EdgeProbe(pattern, host)
+        probe = _Host(pattern, host)
         fresh = (probe.rows[:], probe.degs[:], probe.deg_ok[:])
         for e in host.edges():
             assert probe.through_edge(*e) == copy_through_edge(pattern, host, e)
@@ -150,7 +150,7 @@ def test_edge_probe_matches_built_hosts_and_restores(host):
         for e in host.non_edges()[:2]:
             probe.add(*e)
             grown_host = grown_host.add_edge(*e)
-            grown = _EdgeProbe(pattern, grown_host)
+            grown = _Host(pattern, grown_host)
             assert (probe.rows, probe.degs, probe.deg_ok) == (grown.rows, grown.degs, grown.deg_ok)
 
 

@@ -53,6 +53,18 @@ def test_graph_validation():
         from_edges(2, [(0, 2)])
 
 
+def test_graph_stores_rows_as_a_tuple_of_ints():
+    rows = [2, 1]
+    g = Graph(2, rows)
+    rows[0] = 0
+    assert g.rows == (2, 1) and type(g.rows) is tuple
+    assert g == path_graph(2) and hash(g) == hash(path_graph(2))
+    assert canonical_form(g) == canonical_form(path_graph(2))
+    for n, rows in ((2, (2.0, 1)), (2.0, (2, 1)), (2, ("2", 1))):
+        with pytest.raises(ValueError):
+            Graph(n, rows)
+
+
 def test_derived_graphs_pass_full_validation():
     # derived graphs and canonical forms skip validation; rebuilding them
     # through Graph(...) must accept them and give an equal, equal-hash graph

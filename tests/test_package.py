@@ -2,17 +2,12 @@
 
 import ast
 import importlib
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import domsat
-
-ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src"
+from conftest import ROOT, SRC, run_python
 
 # submodule -> the names `from domsat import ...` has always offered from it
 EXPORTS = {
@@ -61,15 +56,6 @@ NOT_ON_QUERY_PATH = (
 )
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter with the sources on its path."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=ROOT
-    )
-
-
 # -- the lazy surface ----------------------------------------------------------
 
 
@@ -113,7 +99,7 @@ def test_unknown_name_is_an_attribute_error_naming_it():
 
 
 def test_import_domsat_loads_no_submodule():
-    out = _python(
+    out = run_python(
         "-c",
         "import sys, domsat\n"
         "print(sorted(m for m in sys.modules if m.startswith('domsat.')))"
@@ -131,7 +117,7 @@ def test_import_domsat_loads_no_submodule():
     ids=["compute", "check"],
 )
 def test_query_imports_only_the_layers_it_runs(argv):
-    out = _python(
+    out = run_python(
         "-c",
         "import sys\n"
         "import domsat.cli\n"
@@ -163,6 +149,6 @@ def test_no_module_imports_dataclasses():
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
-    out = _python(str(ROOT / "demos" / demo))
+    out = run_python(str(ROOT / "demos" / demo))
     assert out.returncode == 0, out.stderr
     assert out.stdout

@@ -30,6 +30,7 @@ from domsat import (
     tree_witness_ok,
     turan,
 )
+from domsat import predicates
 from domsat.predicates import PREDICATES
 
 K3 = complete_graph(3)
@@ -114,9 +115,11 @@ def test_certificates_replay(host):
 
 
 _TWO_K3 = disjoint_union([K3, K3])
+_K4_MINUS_E = complete_graph(4).remove_edge(0, 1)
 
-# each certificate is valid for some other question, or names a vertex
-# outside the host, so none may replay True against pattern K3
+# each certificate is valid for some other question, names a vertex
+# outside the host, or is not a tuple of int vertices, so none may replay
+# True against pattern K3, and none may raise
 _FORGED = {
     "free-with-closure-order": (
         PredicateReport("free", True, "closure-order", ()),
@@ -160,6 +163,30 @@ _FORGED = {
     "empty-closure-gap-on-complete": (
         PredicateReport("weakly-saturated", False, "closure-gap", ()),
         complete_graph(4),
+    ),
+    "embedding-with-a-str-vertex": (
+        PredicateReport("free", False, "embedding", (0, 1, "a")),
+        _K4_MINUS_E,
+    ),
+    "embedding-with-a-float-vertex": (
+        PredicateReport("free", False, "embedding", (0, 1.5, 2)),
+        _K4_MINUS_E,
+    ),
+    "embedding-that-is-none": (
+        PredicateReport("free", False, "embedding", None),
+        _K4_MINUS_E,
+    ),
+    "uncovered-edge-with-a-float-vertex": (
+        PredicateReport("dominated", False, "uncovered-edge", (0.5, 1)),
+        _K4_MINUS_E,
+    ),
+    "non-edge-with-a-str-vertex": (
+        PredicateReport("semi-saturated", False, "non-edge", ("0", 1)),
+        _K4_MINUS_E,
+    ),
+    "closure-order-that-is-none": (
+        PredicateReport("weakly-saturated", True, "closure-order", None),
+        _K4_MINUS_E,
     ),
 }
 
@@ -259,6 +286,25 @@ def test_predicates_match_per_pair_reference(pool):
                 assert run_predicate(name, host, pattern) == rep
                 assert recheck_certificate(rep, host, pattern)
         assert host.rows is rows
+
+
+def test_one_host_set_up_per_predicate_call(pool, monkeypatch):
+    built = []
+
+    class Counted(predicates._Host):
+        __slots__ = ()
+
+        def __init__(self, pattern, host):
+            built.append(host)
+            super().__init__(pattern, host)
+
+    monkeypatch.setattr(predicates, "_Host", Counted)
+    for host in pool.values():
+        for pattern in pool.values():
+            for name in PREDICATES:
+                built.clear()
+                run_predicate(name, host, pattern)
+                assert built == [host], (name, host, pattern)
 
 
 def _digest_hosts():
