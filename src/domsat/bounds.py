@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .constructions import _clique_pair, bridge_pair_order, neighborhood_scan
 from .graphs import Graph, _bits, bridges, component_graphs, disjoint_union, is_star
-from .predicates import is_dom_sat
+from .predicates import _require_pattern, is_dom_sat
 
 
 class Bound(NamedTuple):
@@ -105,6 +105,13 @@ def star_density_candidates(r: int) -> dict[str, Fraction]:
     }
 
 
+def _param(family: str, params: dict, name: str):
+    """params[name], or a ValueError naming the missing parameter."""
+    if name not in params:
+        raise ValueError(f"family {family!r} needs parameter {name!r}")
+    return params[name]
+
+
 def known_density(family: str, **params):
     """Exact density (paths) or [lower, upper] interval for a family.
 
@@ -113,7 +120,7 @@ def known_density(family: str, **params):
     """
     key = family.replace("-", "_")
     if key == "path":
-        r = params["r"]
+        r = _param(family, params, "r")
         if r < 3:
             raise ValueError("need r >= 3")
         if r % 2:
@@ -122,12 +129,12 @@ def known_density(family: str, **params):
         j = (r - 2) // 2
         return 1 - Fraction(1, 3 * j + 1)
     if key == "cycle":
-        r = params["r"]
+        r = _param(family, params, "r")
         if r < 4:
             raise ValueError("need r >= 4")
         return (Fraction(1), 1 + Fraction(1, r - 3))
     if key == "star":
-        r = params["r"]
+        r = _param(family, params, "r")
         if r < 2:
             raise ValueError("need r >= 2")
         return (
@@ -135,12 +142,12 @@ def known_density(family: str, **params):
             star_density_candidates(r)["construction-derived"],
         )
     if key == "star_plus":
-        s = params["s"]
+        s = _param(family, params, "s")
         if s < 4:
             raise ValueError("need s >= 4")
         return (1 - Fraction(1, s), 1 - Fraction(1, 2 * s - 2))
     if key == "kt_path_sat":
-        r = params["r"]
+        r = _param(family, params, "r")
         if r < 3:
             raise ValueError("need r >= 3")
         if r % 2:
@@ -210,8 +217,7 @@ def structural_bounds(f: Graph) -> BoundSet:
     Inapplicable bounds are simply absent.  Lower bounds are asymptotic
     statements about the dom-sat density, never claims at a fixed order.
     """
-    if f.edge_count == 0:
-        raise ValueError("pattern must have at least one edge")
+    _require_pattern(f)
     lower: list[Bound] = []
     upper: list[Bound] = []
     notes: list[str] = []

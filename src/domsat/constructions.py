@@ -4,9 +4,15 @@ Every builder emits a deterministic vertex labeling (documented per
 function) so serialized outputs are byte-stable.  Each family's claimed
 predicate and pattern live in the CLI's family table (cli.FAMILIES), and
 `domsat construct --certify` re-runs the claim against the output.
+
+The block families (paths, K_{r-1,r} stars, the bridge family's K_s
+fallback) share one assembler, _blocks: equal blocks, the last absorbing
+the remainder.  near_matching is the only matching.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from .graphs import (
     Graph,
@@ -64,6 +70,22 @@ def turan(n: int, r: int) -> Graph:
     return complete_multipartite(sizes)
 
 
+def _blocks(n: int, size: int, block: Callable[[int], Graph], pad: bool, unit: str) -> Graph:
+    """Disjoint blocks block(size) on consecutive labels; with pad, the
+    last is block(size + remainder), so it has fewer than 2*size vertices."""
+    q, rem = divmod(n, size)
+    if q < 1:
+        raise ConstructionError(f"need at least {size} vertices for one {unit}")
+    if rem and not pad:
+        raise ConstructionError(
+            f"{n} is not a multiple of the {unit} size {size}; pad to absorb the remainder"
+        )
+    parts = [block(size)] * q
+    if rem:
+        parts[-1] = block(size + rem)
+    return disjoint_union(parts)
+
+
 def path_component_size(r: int) -> int:
     """Component order for the extremal path family: 3j for r = 2j+1,
     3j+1 for r = 2j+2."""
@@ -81,18 +103,7 @@ def path_family(n: int, r: int, pad: bool = False) -> Graph:
     multiple of the component size; with pad, one component absorbs the
     remainder (size < twice the component size).
     """
-    comp = path_component_size(r)
-    q, rem = divmod(n, comp)
-    if q < 1:
-        raise ConstructionError(f"need at least {comp} vertices for one component")
-    if rem and not pad:
-        raise ConstructionError(
-            f"{n} is not a multiple of the component size {comp}; pad to absorb the remainder"
-        )
-    parts = [path_graph(comp)] * q
-    if rem:
-        parts = [path_graph(comp)] * (q - 1) + [path_graph(comp + rem)]
-    return disjoint_union(parts)
+    return _blocks(n, path_component_size(r), path_graph, pad, "component")
 
 
 def cycle_gadget_layout(n: int | None, r: int, loop_len: int | None = None) -> tuple[int, int, int, int]:
@@ -141,18 +152,7 @@ def star_family(n: int, r: int, pad: bool = False) -> Graph:
     """
     if r < 2:
         raise ConstructionError("need r >= 2")
-    block = 2 * r - 1
-    q, rem = divmod(n, block)
-    if q < 1:
-        raise ConstructionError(f"need at least {block} vertices for one block")
-    if rem and not pad:
-        raise ConstructionError(
-            f"{n} is not a multiple of the block size {block}; pad to absorb the remainder"
-        )
-    parts = [complete_bipartite(r - 1, r)] * (q - 1 if rem else q)
-    if rem:
-        parts.append(complete_bipartite(r - 1, r + rem))
-    return disjoint_union(parts)
+    return _blocks(n, 2 * r - 1, lambda k: complete_bipartite(r - 1, k - r + 1), pad, "block")
 
 
 def star_plus_pair(s: int) -> tuple[Graph, Graph]:
@@ -171,19 +171,6 @@ def star_plus_pair(s: int) -> tuple[Graph, Graph]:
     h_edges += [(1, i) for i in range(s, 2 * s - 2)]
     h_s = from_edges(2 * s - 2, h_edges)
     return g_s, h_s
-
-
-def _clique_blocks(total: int, block: int) -> Graph:
-    """Disjoint cliques of the given order, one oversized to absorb the
-    remainder (the K_s device, block <= s < 2*block)."""
-    q, rem = divmod(total, block)
-    if q < 1:
-        raise ConstructionError(f"need at least {block} vertices")
-    if rem:
-        parts = [complete_graph(block)] * (q - 1) + [complete_graph(block + rem)]
-    else:
-        parts = [complete_graph(block)] * q
-    return disjoint_union(parts)
 
 
 def _clique_pair(r: int) -> Graph:
@@ -225,7 +212,7 @@ def bridge_family(f: Graph, n: int) -> Graph:
         candidate = disjoint_union([_clique_pair(r)] * (n // (2 * r)))
         if is_dom_sat(candidate, f).verdict:
             return candidate
-    return _clique_blocks(n, f.n)
+    return _blocks(n, f.n, complete_graph, True, "block")
 
 
 def neighborhood_scan(f: Graph) -> tuple[int, tuple[int, int]]:
@@ -246,9 +233,9 @@ def neighborhood_family(f: Graph, n: int, pad: bool = False) -> Graph:
 
     Vertices 0..|f|-1 form the clique; vertices |f|..n-1 are each joined
     to the k designated clique vertices 0..k-1.  When the pattern's
-    minimum degree equals k+1 the outside vertices are paired by a
-    matching (consecutive pairs); pad switches the matching to a
-    near-matching when the outside count is odd.
+    minimum degree equals k+1 the outside vertices also carry
+    near_matching(n - |f|), shifted by |f|: consecutive pairs, and with
+    pad a triangle on the first three when the outside count is odd.
     """
     k, _ = neighborhood_scan(f)
     if n <= f.n:
@@ -264,9 +251,5 @@ def neighborhood_family(f: Graph, n: int, pad: bool = False) -> Graph:
                 )
             if outside < 3:
                 raise ConstructionError("cannot pad a single outside vertex")
-            base = f.n
-            edges += [(base, base + 1), (base, base + 2), (base + 1, base + 2)]
-            edges += [(base + 2 * i + 1, base + 2 * i + 2) for i in range(1, (outside - 1) // 2)]
-        else:
-            edges += [(f.n + 2 * i, f.n + 2 * i + 1) for i in range(outside // 2)]
+        edges += [(f.n + a, f.n + b) for a, b in near_matching(outside).edges()]
     return from_edges(n, edges)

@@ -81,12 +81,13 @@ def _plan(pattern: Graph) -> _Plan:
 
 
 def is_valid_embedding(pattern: Graph, host: Graph, mapping: tuple[int, ...]) -> bool:
-    """Check the embedding invariants: injective and edge-preserving."""
+    """Check the embedding invariants: int host vertices (bool and float
+    entries are refused), injective and edge-preserving."""
     if len(mapping) != pattern.n:
         return False
-    if len(set(mapping)) != pattern.n:
+    if any(type(x) is not int or not 0 <= x < host.n for x in mapping):
         return False
-    if any(not 0 <= x < host.n for x in mapping):
+    if len(set(mapping)) != pattern.n:
         return False
     return all(host.has_edge(mapping[a], mapping[b]) for a, b in pattern.edges())
 

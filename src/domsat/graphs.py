@@ -16,6 +16,7 @@ ask about.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -245,19 +246,13 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 
 def complete_multipartite(sizes: Sequence[int]) -> Graph:
-    if any(s < 1 for s in sizes):
+    """Parts of the given sizes on consecutive labels, every cross pair joined."""
+    if not sizes or any(s < 1 for s in sizes):
         raise ValueError("part sizes must be positive")
-    n = sum(sizes)
-    edges = []
-    offsets = []
-    start = 0
-    for s in sizes:
-        offsets.append((start, start + s))
-        start += s
-    for i, (a0, a1) in enumerate(offsets):
-        for b0, b1 in offsets[i + 1:]:
-            edges.extend((u, v) for u in range(a0, a1) for v in range(b0, b1))
-    return from_edges(n, edges)
+    if sum(sizes) > MAX_VERTICES:
+        # join would name only the first partial sum past the limit
+        raise ValueError(f"vertex count {sum(sizes)} outside 1..{MAX_VERTICES}")
+    return reduce(join, map(empty_graph, sizes))
 
 
 def join(g: Graph, h: Graph) -> Graph:

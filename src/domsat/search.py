@@ -22,6 +22,7 @@ from .graph6 import graph6_encode
 from .graphs import Graph, component_graphs
 from .predicates import (
     PREDICATES,
+    _require_pattern,
     lemma_tree_witness,
     tree_witness_ok,
 )
@@ -162,8 +163,7 @@ def _normalize_predicate(name: str) -> str:
 
 def _check_order(pattern: Graph, n: int, max_n: int) -> None:
     """Reject a host order that cannot be searched, before any level is built."""
-    if pattern.edge_count == 0:
-        raise ValueError("pattern must have at least one edge")
+    _require_pattern(pattern)
     if n < pattern.n:
         raise ValueError(f"host order {n} below pattern order {pattern.n}")
     if n > max_n:

@@ -74,6 +74,10 @@ def test_known_density_values():
     assert known_density("kt_path_sat", r=3) == Fraction(1, 2)
     with pytest.raises(ValueError):
         known_density("petersen", r=3)
+    with pytest.raises(ValueError, match="'r'"):
+        known_density("path")
+    with pytest.raises(ValueError, match="'s'"):
+        known_density("star_plus", r=5)
 
 
 def test_known_density_matches_construction_growth():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from domsat import (
@@ -6,6 +8,7 @@ from domsat import (
     bridge_family,
     bridge_pair_order,
     complete_graph,
+    complete_multipartite,
     components,
     cycle_gadget,
     cycle_gadget_layout,
@@ -13,6 +16,8 @@ from domsat import (
     disjoint_union,
     dom_turan,
     dsat_clique_upper_edges,
+    from_edges,
+    graph6_encode,
     is_dom_sat,
     is_saturated,
     is_semi_saturated,
@@ -207,3 +212,53 @@ def test_constructions_bound_exact_search():
         assert g.edge_count >= least, label
         if exact:
             assert g.edge_count == least, label
+
+
+# patterns with a bridge beyond the pool's P3, P4 and K1,3
+_BRIDGED = {
+    "P5": path_graph(5),
+    "K1,4": star_graph(4),
+    "paw": from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    "bull": from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)]),
+    "two-K3": from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]),
+}
+
+FAMILY_OUTPUTS_DIGEST = "4b3a752fb90b7b90086ea8249e6b17f06f5815714c2c7ae40fc9bb7fe1703850"
+
+
+def _family_calls(pool):
+    patterns = {**pool, **_BRIDGED}
+    for pad in (False, True):
+        for n in range(40):
+            for r in range(10):
+                yield f"path_family({n},{r},{pad})", lambda: path_family(n, r, pad)
+                yield f"star_family({n},{r},{pad})", lambda: star_family(n, r, pad)
+    for name, f in patterns.items():
+        for n in range(40):
+            yield f"bridge_family({name},{n})", lambda: bridge_family(f, n)
+            for pad in (False, True):
+                yield (f"neighborhood_family({name},{n},{pad})",
+                       lambda: neighborhood_family(f, n, pad))
+    for n in range(25):
+        for r in range(n + 2):
+            yield f"turan({n},{r})", lambda: turan(n, r)
+    for n, r in ((65, 1), (70, 3), (100, 4)):
+        yield f"turan({n},{r})", lambda: turan(n, r)
+    for a in range(1, 6):
+        for b in range(1, 6):
+            for c in range(4):
+                sizes = [a, b] + [c + 1] * c
+                yield f"complete_multipartite({sizes})", lambda: complete_multipartite(sizes)
+
+
+def test_family_outputs_digest(pool):
+    # pins every builder's labels, including the padded and odd-remainder
+    # cases, and every rejection's type and message
+    h = hashlib.sha256()
+    for call, build in _family_calls(pool):
+        try:
+            out = graph6_encode(build())
+        except Exception as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        h.update(f"{call} -> {out}\n".encode())
+    assert h.hexdigest() == FAMILY_OUTPUTS_DIGEST

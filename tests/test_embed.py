@@ -36,6 +36,10 @@ def test_existence_examples():
     assert embedding_exists(complete_graph(3), cycle_graph(4)) is None
     found = embedding_exists(cycle_graph(5), PETERSEN)
     assert found is not None and is_valid_embedding(cycle_graph(5), PETERSEN, found)
+    k3, k4 = complete_graph(3), complete_graph(4)
+    assert is_valid_embedding(k3, k4, [0, 1, 2])  # list mappings are accepted
+    for mapping in ((0, 1, "a"), (0, 1.0, 2), (0, True, 2)):
+        assert is_valid_embedding(k3, k4, mapping) is False, mapping
 
 
 def _naive_exists(pattern, host):

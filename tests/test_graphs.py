@@ -15,6 +15,7 @@ from domsat import (
     canonical_form,
     complete_bipartite,
     complete_graph,
+    complete_multipartite,
     component_graphs,
     components,
     cycle_graph,
@@ -153,6 +154,12 @@ def test_join_examples():
 @settings(max_examples=60, deadline=None)
 def test_join_edge_count_identity(g, h):
     assert join(g, h).edge_count == g.edge_count + h.edge_count + g.n * h.n
+
+
+def test_complete_multipartite_rejects_bad_sizes():
+    for sizes in ([], [2, 0], [40, 30]):
+        with pytest.raises(ValueError):
+            complete_multipartite(sizes)
 
 
 def test_disjoint_union():
