@@ -13,6 +13,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
+from ._json import plain, record
 from .constructions import _clique_pair, bridge_pair_order, neighborhood_scan
 from .graphs import Graph, _bits, bridges, component_graphs, disjoint_union, is_star
 from .predicates import _require_pattern, is_dom_sat
@@ -45,23 +46,18 @@ class BoundSet(NamedTuple):
 
     def to_json_dict(self) -> dict:
         def enc(bs):
-            return [
-                {"num": b.value.numerator, "den": b.value.denominator, "source": b.source}
-                for b in bs
-            ]
+            return [{**plain(b.value), "source": b.source} for b in bs]
 
-        def enc_one(x):
-            return None if x is None else {"num": x.numerator, "den": x.denominator}
-
-        return {
-            "schema": "domsat/1",
-            "lower": enc(self.lower),
-            "upper": enc(self.upper),
-            "best_lower": enc_one(self.best_lower),
-            "best_upper": enc_one(self.best_upper),
-            "consistent": self.consistent,
-            "notes": list(self.notes),
-        }
+        return record(
+            {
+                "lower": enc(self.lower),
+                "upper": enc(self.upper),
+                "best_lower": self.best_lower,
+                "best_upper": self.best_upper,
+                "consistent": self.consistent,
+                "notes": self.notes,
+            }
+        )
 
 
 def sat_clique(n: int, r: int) -> int:

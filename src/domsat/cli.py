@@ -20,6 +20,7 @@ import sys
 import time
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from ._json import record
 from .graph6 import Graph6Error, graph6_decode, graph6_encode
 from .graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from .predicates import PREDICATES, run_predicate
@@ -152,19 +153,13 @@ def _cmd_construct(args) -> int:
     if args.certify and claim is not None:
         pattern = family.claim_pattern(args, graphs)
         certified = run_predicate(claim, graphs[-1], pattern).verdict
+    graphs6 = [graph6_encode(g) for g in graphs]
     if args.json:
-        _emit_json(
-            {
-                "schema": "domsat/1",
-                "family": args.family,
-                "graphs": [graph6_encode(g) for g in graphs],
-                "claim": claim,
-                "certified": certified,
-            }
-        )
+        fields = {"family": args.family, "graphs": graphs6, "claim": claim, "certified": certified}
+        _emit_json(record(fields))
     else:
-        for g in graphs:
-            print(graph6_encode(g))
+        for g6 in graphs6:
+            print(g6)
     if args.certify:
         if claim is None:
             print("nothing to certify for this family", file=sys.stderr)
@@ -226,17 +221,8 @@ def _cmd_verify(args) -> int:
 
     suite = SUITES[args.suite]()
     if args.json:
-        _emit_json(
-            {
-                "schema": "domsat/1",
-                "suite": suite.name,
-                "passed": suite.passed,
-                "checks": [
-                    {"label": c.label, "passed": c.passed, "detail": c.detail}
-                    for c in suite.checks
-                ],
-            }
-        )
+        checks = [c._asdict() for c in suite.checks]
+        _emit_json(record({"suite": suite.name, "passed": suite.passed, "checks": checks}))
     else:
         print(f"suite: {suite.name}")
         for c in suite.checks:

@@ -89,9 +89,6 @@ class Graph:
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.rows)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from ._json import record
 from .embed import _Host, is_valid_embedding
 from .graphs import Graph, _bits, is_star, is_tree
 
@@ -44,19 +45,7 @@ class PredicateReport(NamedTuple):
     certificate: tuple = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "domsat/1",
-            "predicate": self.predicate,
-            "verdict": self.verdict,
-            "certificate_kind": self.certificate_kind,
-            "certificate": _cert_to_json(self.certificate),
-        }
-
-
-def _cert_to_json(cert: tuple):
-    if cert and isinstance(cert[0], tuple):
-        return [list(c) for c in cert]
-    return list(cert)
+        return record(self._asdict())
 
 
 def _require_pattern(f: Graph) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
+from ._json import record
 from .canon import canonical_form
 from .enumeration import MAX_ENUM_VERTICES, enumerate_graphs, enumerate_trees
 from .graph6 import graph6_encode
@@ -48,15 +49,7 @@ class SearchResult(NamedTuple):
     graphs_examined: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "domsat/1",
-            "pattern": self.pattern,
-            "n": self.n,
-            "predicate": self.predicate,
-            "min_edges": self.min_edges,
-            "witnesses": list(self.witnesses),
-            "graphs_examined": self.graphs_examined,
-        }
+        return record(self._asdict())
 
 
 class DensityProfile(NamedTuple):
@@ -81,28 +74,14 @@ class DensityProfile(NamedTuple):
         }
 
     def to_json_dict(self) -> dict:
-        trend = self.trend()
-        return {
-            "schema": "domsat/1",
-            "pattern": self.pattern,
-            "predicate": self.predicate,
-            "rows": [
-                {"n": n, "min_edges": m, "density": {"num": d.numerator, "den": d.denominator}}
-                for n, m, d in self.rows
-            ],
-            "trend": {
-                "min_edges_non_decreasing": trend["min_edges_non_decreasing"],
-                "density_non_decreasing": trend["density_non_decreasing"],
-                "first_density": {
-                    "num": trend["first_density"].numerator,
-                    "den": trend["first_density"].denominator,
-                },
-                "last_density": {
-                    "num": trend["last_density"].numerator,
-                    "den": trend["last_density"].denominator,
-                },
-            },
-        }
+        return record(
+            {
+                "pattern": self.pattern,
+                "predicate": self.predicate,
+                "rows": [{"n": n, "min_edges": m, "density": d} for n, m, d in self.rows],
+                "trend": self.trend(),
+            }
+        )
 
 
 # -- pattern-derived degree floors ------------------------------------------

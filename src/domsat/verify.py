@@ -12,7 +12,7 @@ semi-saturated and degenerate for degree or connectivity conclusions.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .bounds import dsat_clique_upper_edges, sat_clique
 from .constructions import (
@@ -25,6 +25,7 @@ from .constructions import (
     star_plus_pair,
 )
 from .enumeration import all_classes
+from .graph6 import graph6_encode
 from .graphs import (
     Graph,
     complete_graph,
@@ -46,8 +47,11 @@ class Check(NamedTuple):
     detail: str = ""
 
 
-def _counterexample_check(label: str, bad: list) -> Check:
-    return Check(label, not bad, f"{len(bad)} counterexamples" if bad else "")
+def _check(label: str, failures: list[str]) -> Check:
+    """Pass with no counterexample; otherwise count them and name the first."""
+    if failures:
+        return Check(label, False, f"{len(failures)} counterexamples, first: {failures[0]}")
+    return Check(label, True)
 
 
 class SuiteResult(NamedTuple):
@@ -79,13 +83,9 @@ def _hosts_with_edges() -> list[Graph]:
     return hosts
 
 
-def _is_complete(g: Graph) -> bool:
-    return g.edge_count == g.n * (g.n - 1) // 2
-
-
 def _vacuous_semi_sat(host: Graph, pattern: Graph) -> bool:
     # complete hosts smaller than the pattern have no non-edges to test
-    return _is_complete(host) and host.n < pattern.n
+    return host.n < pattern.n and not host.non_edges()
 
 
 def suite_facts() -> SuiteResult:
@@ -105,46 +105,40 @@ def suite_facts() -> SuiteResult:
     }
     dsat_pp = {k: dom_pp[k] and ss_pp[k] for k in dom_pp}
 
-    checks = []
-
     def implication(label, middle_rel, host_rel, conclusion_rel):
-        bad = []
+        failures = []
         for fn in pool:
             for gn in pool:
                 if not middle_rel[(gn, fn)]:
                     continue
                 for i, h in enumerate(hosts):
                     if host_rel[gn][i] and not conclusion_rel[fn][i]:
-                        bad.append((fn, gn, i))
-        checks.append(_counterexample_check(label, bad))
+                        failures.append(f"F={fn}, G={gn}, host {graph6_encode(h)}")
+        return _check(label, failures)
 
-    implication("transitivity-dominated", dom_pp, dom, dom)
-    implication("transitivity-dominated-semi", dom_pp, ss, ss)
-    implication("transitivity-dominated-domsat", dom_pp, dsat, dsat)
-    implication("transitivity-domsat", dsat_pp, dsat, dsat)
-
-    bad = []
+    degree_dom, degree_ss = [], []
     for fn, f in pool.items():
         for i, h in enumerate(hosts):
             if dom[fn][i] and h.min_degree() >= 1 and h.min_degree() < f.min_degree():
-                bad.append((fn, i))
-    checks.append(_counterexample_check("degree-dominated", bad))
+                degree_dom.append(f"F={fn}, host {graph6_encode(h)}")
+            if ss[fn][i] and not _vacuous_semi_sat(h, f) and h.min_degree() < f.min_degree() - 1:
+                degree_ss.append(f"F={fn}, host {graph6_encode(h)}")
 
-    bad = []
-    for fn, f in pool.items():
-        for i, h in enumerate(hosts):
-            if _vacuous_semi_sat(h, f):
-                continue
-            if ss[fn][i] and h.min_degree() < f.min_degree() - 1:
-                bad.append((fn, i))
-    checks.append(_counterexample_check("degree-semi-saturated", bad))
+    return SuiteResult(
+        "facts",
+        (
+            implication("transitivity-dominated", dom_pp, dom, dom),
+            implication("transitivity-dominated-semi", dom_pp, ss, ss),
+            implication("transitivity-dominated-domsat", dom_pp, dsat, dsat),
+            implication("transitivity-domsat", dsat_pp, dsat, dsat),
+            _check("degree-dominated", degree_dom),
+            _check("degree-semi-saturated", degree_ss),
+        ),
+    )
 
-    return SuiteResult("facts", tuple(checks))
 
-
-def _component_connectivity(f: Graph, edge_version: bool) -> int:
-    """Largest k >= 0 such that every component passes the k test."""
-    test = is_k_edge_connected if edge_version else is_k_connected
+def _component_connectivity(f: Graph, test: Callable[[Graph, int], bool]) -> int:
+    """Largest k >= 0 such that every component of f passes test(c, k)."""
     k = 0
     while all(test(c, k + 1) for c in component_graphs(f)):
         k += 1
@@ -157,31 +151,35 @@ def suite_connectivity() -> SuiteResult:
     """Both connectivity lemmas over all classes on at most 6 vertices."""
     pool = default_pool()
     hosts = _hosts_with_edges()
-    checks = []
 
-    bad = []
-    for fn, f in pool.items():
-        k = _component_connectivity(f, edge_version=False)
-        if k < 1:
-            continue
-        for h in hosts:
-            if _vacuous_semi_sat(h, f):
+    def lemma(label, test, holds):
+        # every host where holds(h, f) is (k - 1)-connected in test's sense,
+        # k being the connectivity that every component of f reaches
+        failures = []
+        for fn, f in pool.items():
+            k = _component_connectivity(f, test)
+            if k < 1:
                 continue
-            if is_semi_saturated(h, f).verdict and not is_k_connected(h, k - 1):
-                bad.append((fn, h))
-    checks.append(_counterexample_check("semi-saturated-vertex-connectivity", bad))
+            for h in hosts:
+                if holds(h, f) and not test(h, k - 1):
+                    failures.append(f"F={fn}, host {graph6_encode(h)}")
+        return _check(label, failures)
 
-    bad = []
-    for fn, f in pool.items():
-        k = _component_connectivity(f, edge_version=True)
-        if k < 1:
-            continue
-        for h in hosts:
-            if is_dom_sat(h, f).verdict and not is_k_edge_connected(h, k - 1):
-                bad.append((fn, h))
-    checks.append(_counterexample_check("dom-sat-edge-connectivity", bad))
-
-    return SuiteResult("connectivity", tuple(checks))
+    return SuiteResult(
+        "connectivity",
+        (
+            lemma(
+                "semi-saturated-vertex-connectivity",
+                is_k_connected,
+                lambda h, f: not _vacuous_semi_sat(h, f) and is_semi_saturated(h, f).verdict,
+            ),
+            lemma(
+                "dom-sat-edge-connectivity",
+                is_k_edge_connected,
+                lambda h, f: is_dom_sat(h, f).verdict,
+            ),
+        ),
+    )
 
 
 def suite_lemma_trees() -> SuiteResult:
@@ -196,46 +194,38 @@ def suite_lemma_trees() -> SuiteResult:
 
 
 def suite_constructions() -> SuiteResult:
-    """Certify every builder against its claimed predicate."""
-    checks = []
-
-    ok = True
-    detail = ""
+    """Certify the dom-turan, path, cycle-gadget, star and star-plus
+    families against their claimed predicates, and run the cycle gadget's
+    negative control: overlong loops must break semi-saturation."""
+    turan = []
     for r in range(3, 7):
         for n in range(r, 21):
             g = dom_turan(n, r)
             if g.edge_count != dsat_clique_upper_edges(n, r):
-                ok, detail = False, f"edge count off at (n={n}, r={r})"
-                break
-            if not is_dom_sat(g, complete_graph(r)).verdict:
-                ok, detail = False, f"not dom-sat at (n={n}, r={r})"
-                break
-        if not ok:
-            break
-    checks.append(Check("dom-turan-certified", ok, detail))
+                turan.append(f"edge count off at (n={n}, r={r})")
+            elif not is_dom_sat(g, complete_graph(r)).verdict:
+                turan.append(f"not dom-sat at (n={n}, r={r})")
 
-    ok, detail = True, ""
+    path = []
     for r in (3, 4, 5, 6, 7):
         comp = path_component_size(r)
         for q in (1, 2):
             g = path_family(comp * q, r)
             if g.edge_count != comp * q - q or not is_dom_sat(g, path_graph(r)).verdict:
-                ok, detail = False, f"failed at (r={r}, blocks={q})"
-    checks.append(Check("path-family-certified", ok, detail))
+                path.append(f"failed at (r={r}, blocks={q})")
 
-    ok, detail = True, ""
-    for r in (4, 5, 6, 7):
-        g = cycle_gadget(None, r)
-        if not is_dom_sat(g, cycle_graph(r)).verdict:
-            ok, detail = False, f"failed at r={r}"
-    checks.append(Check("cycle-gadget-certified", ok, detail))
+    cycle = [
+        f"failed at r={r}"
+        for r in (4, 5, 6, 7)
+        if not is_dom_sat(cycle_gadget(None, r), cycle_graph(r)).verdict
+    ]
 
-    ok, detail = True, ""
+    negative = []
     for r in (5, 6, 7):
         n, ell, p, loops = cycle_gadget_layout(None, r, r - 2)
         rep = is_semi_saturated(cycle_gadget(None, r, r - 2), cycle_graph(r))
         if rep.verdict:
-            ok, detail = False, f"negative control passed at r={r}"
+            negative.append(f"negative control passed at r={r}")
             continue
         u, v = rep.certificate
         corresponding = (
@@ -245,42 +235,46 @@ def suite_constructions() -> SuiteResult:
             and (u - ell) // p != (v - ell) // p
         )
         if not corresponding:
-            ok, detail = False, f"certificate {rep.certificate} not a corresponding pair at r={r}"
-    checks.append(Check("cycle-negative-control", ok, detail))
+            negative.append(f"certificate {rep.certificate} not a corresponding pair at r={r}")
 
-    ok, detail = True, ""
-    for r in (2, 3, 4, 5):
-        for q in (1, 2):
-            g = star_family((2 * r - 1) * q, r)
-            if not is_dom_sat(g, star_graph(r)).verdict:
-                ok, detail = False, f"failed at (r={r}, blocks={q})"
-    checks.append(Check("star-family-certified", ok, detail))
+    star = [
+        f"failed at (r={r}, blocks={q})"
+        for r in (2, 3, 4, 5)
+        for q in (1, 2)
+        if not is_dom_sat(star_family((2 * r - 1) * q, r), star_graph(r)).verdict
+    ]
 
-    ok, detail = True, ""
+    star_plus = []
     for s in range(4, 9):
         g_s, h_s = star_plus_pair(s)
         if h_s.edge_count != 2 * s - 3:
-            ok, detail = False, f"H edge count off at s={s}"
-            continue
-        if not is_dom_sat(disjoint_union([h_s, h_s]), g_s).verdict:
-            ok, detail = False, f"blocks not dom-sat at s={s}"
-    checks.append(Check("star-plus-certified", ok, detail))
+            star_plus.append(f"H edge count off at s={s}")
+        elif not is_dom_sat(disjoint_union([h_s, h_s]), g_s).verdict:
+            star_plus.append(f"blocks not dom-sat at s={s}")
 
-    return SuiteResult("constructions", tuple(checks))
+    return SuiteResult(
+        "constructions",
+        (
+            _check("dom-turan-certified", turan),
+            _check("path-family-certified", path),
+            _check("cycle-gadget-certified", cycle),
+            _check("cycle-negative-control", negative),
+            _check("star-family-certified", star),
+            _check("star-plus-certified", star_plus),
+        ),
+    )
 
 
 def suite_formulas() -> SuiteResult:
     """Clique saturation formula against exhaustive search for n <= 8."""
     checks = []
     for r in (3, 4):
-        ok, detail = True, ""
+        failures = []
         for n in range(r, 9):
             got = min_edges(complete_graph(r), n, "saturated").min_edges
-            want = sat_clique(n, r)
-            if got != want:
-                ok, detail = False, f"sat({n},K{r}) = {got}, formula {want}"
-                break
-        checks.append(Check(f"clique-formula-r{r}", ok, detail))
+            if got != sat_clique(n, r):
+                failures.append(f"sat({n},K{r}) = {got}, formula {sat_clique(n, r)}")
+        checks.append(_check(f"clique-formula-r{r}", failures))
     return SuiteResult("formulas", tuple(checks))
 
 

@@ -216,6 +216,57 @@ def test_verify_suite_lemma_trees():
     assert "result: pass" in out.stdout
 
 
+def test_failing_verify_checks_count_and_name_the_first(monkeypatch, capsys):
+    from domsat import PredicateReport, cli, verify
+
+    monkeypatch.setattr(verify, "is_dom_sat", lambda g, f: PredicateReport("dom-sat", False))
+    details = {c.label: c.detail for c in verify.suite_constructions().checks}
+    assert details == {
+        "dom-turan-certified": "66 counterexamples, first: not dom-sat at (n=3, r=3)",
+        "path-family-certified": "10 counterexamples, first: failed at (r=3, blocks=1)",
+        "cycle-gadget-certified": "4 counterexamples, first: failed at r=4",
+        "cycle-negative-control": "",
+        "star-family-certified": "8 counterexamples, first: failed at (r=2, blocks=1)",
+        "star-plus-certified": "5 counterexamples, first: blocks not dom-sat at s=4",
+    }
+    assert cli.main(["verify", "--suite", "constructions"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] cycle-gadget-certified (4 counterexamples, first: failed at r=4)\n" in out
+    assert "[pass] cycle-negative-control\n" in out
+    assert out.endswith("result: fail\n")
+
+
+def test_record_writes_each_value_in_its_json_form():
+    from fractions import Fraction
+
+    from domsat import complete_graph
+    from domsat._json import record
+
+    fields = {
+        "pairs": ((0, 1), [2, (3, 4)]),
+        "empty": (),
+        "density": Fraction(6, 5),
+        "whole": Fraction(2),
+        "kept": [None, True, False, 0, "x"],
+        "nested": {"trend": (Fraction(1, 2),)},
+    }
+    assert json.dumps(record(fields), sort_keys=True) == json.dumps(
+        {
+            "schema": "domsat/1",
+            "pairs": [[0, 1], [2, [3, 4]]],
+            "empty": [],
+            "density": {"num": 6, "den": 5},
+            "whole": {"num": 2, "den": 1},
+            "kept": [None, True, False, 0, "x"],
+            "nested": {"trend": [{"num": 1, "den": 2}]},
+        },
+        sort_keys=True,
+    )
+    for unsupported in (complete_graph(3), 0.5, {1, 2}):
+        with pytest.raises(TypeError):
+            record({"value": unsupported})
+
+
 def test_usage_errors_exit_two():
     out = run_cli("frobnicate")
     assert out.returncode == 2

@@ -144,6 +144,11 @@ def test_no_module_imports_dataclasses():
     assert offenders == []
 
 
+def test_one_module_names_the_json_schema():
+    naming = [p.name for p in (SRC / "domsat").glob("*.py") if "domsat/1" in p.read_text()]
+    assert naming == ["_json.py"]
+
+
 # -- the demos -------------------------------------------------------------------
 
 
