@@ -9,8 +9,16 @@ edge, and exact copy counting.
 One set-up serves unanchored, anchored and counting questions: a _Host
 copies a host's rows, counts its degrees and builds its degree masks
 once, then answers "is there a copy", "how many", "a copy through edge
-uv" and "a copy through uv once added" (by toggling that one edge in
-place), so a predicate call pays for one set-up and many searches.
+uv" and "a copy through uv once added", so a predicate call pays for one
+set-up and many searches.
+
+An anchored search maps a pattern arc (ordered edge) onto uv and
+extends.  Arcs in one orbit of Aut(pattern) succeed or fail together,
+so only the first arc of each orbit is tried (McKay and Piperno 2014,
+as in canon).  The vertices placed after the anchor avoid u and v, so
+adding uv changes only the anchor's degree test: "through uv once
+added" runs the same search with deg u + 1 and deg v + 1 and leaves the
+host as it is.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from functools import lru_cache
 from math import inf
 from typing import NamedTuple
 
-from .canon import automorphism_order
+from .canon import _canonical_search, _orbit_roots, automorphism_order
 from .graphs import Graph
 
 
@@ -57,27 +65,56 @@ class _Plan(NamedTuple):
     """Per-pattern set-up, shared by every host the pattern meets.
 
     (order, back) is the unanchored search order.  anchors holds, for
-    each pattern edge (a, b) in edges() order, (deg a, deg b, order,
-    back) with the search order prefixed by (a, b).  of_degree maps
-    each pattern degree to the pattern vertices that have it; it is
-    shared through the cache and never written.
+    the first arc (x, y) of each Aut-orbit on arcs, (deg x, deg y,
+    order, back) with the search order prefixed by (x, y); arcs are
+    taken edge by edge in edges() order, (a, b) before (b, a).  Arcs of
+    one orbit succeed or fail together, so the first arc to succeed is
+    the first of its orbit and is kept: the search finds the copy that
+    trying every arc would find.  (b, a) anchored onto uv finds what
+    (a, b) anchored onto vu would, since the order after the prefix
+    depends only on the prefix's vertex set.  of_degree maps each
+    pattern degree to the pattern vertices that have it; it is shared
+    through the cache and never written.
     """
 
     degrees: tuple[int, ...]
+    edge_count: int
     order: tuple[int, ...]
     back: tuple[tuple[int, ...], ...]
     anchors: tuple
     of_degree: dict[int, tuple[int, ...]]
 
 
+def _arc_orbit_firsts(pattern: Graph) -> list[tuple[int, int]]:
+    """The first arc, in edges() order with (a, b) before (b, a), of each
+    orbit of Aut(pattern) on arcs."""
+    n = pattern.n
+    # arc (x, y) is point x * n + y; canon's automorphisms generate Aut
+    gens = [
+        tuple(p[i // n] * n + p[i % n] for i in range(n * n))
+        for p in _canonical_search(pattern)[2]
+    ]
+    roots = _orbit_roots(n * n, gens)
+    seen: set[int] = set()
+    firsts = []
+    for a, b in pattern.edges():
+        for x, y in ((a, b), (b, a)):
+            root = roots[x * n + y]
+            if root not in seen:
+                seen.add(root)
+                firsts.append((x, y))
+    return firsts
+
+
 @lru_cache(maxsize=1024)
 def _plan(pattern: Graph) -> _Plan:
     degs = pattern.degrees()
     anchors = tuple(
-        (degs[a], degs[b], *_search_order(pattern, (a, b))) for a, b in pattern.edges()
+        (degs[x], degs[y], *_search_order(pattern, (x, y)))
+        for x, y in _arc_orbit_firsts(pattern)
     )
     of_degree = {d: tuple(pv for pv in range(pattern.n) if degs[pv] == d) for d in set(degs)}
-    return _Plan(degs, *_search_order(pattern), anchors, of_degree)
+    return _Plan(degs, pattern.edge_count, *_search_order(pattern), anchors, of_degree)
 
 
 def is_valid_embedding(pattern: Graph, host: Graph, mapping: tuple[int, ...]) -> bool:
@@ -137,10 +174,14 @@ class _Host:
     """One host set up for many questions about one pattern.
 
     first and count run the unanchored search; through_edge(u, v) asks
-    for a copy through host edge uv; add and remove toggle an edge in
-    the host's own copy of the rows, keeping the degrees and degree
-    masks in step.  No Graph is built and no argument is validated:
-    callers pass pairs of distinct vertices.
+    for a copy through host edge uv, and through_added(u, v) for one
+    through non-edge uv once added, trying one anchor per arc orbit of
+    the pattern.  through_added touches nothing: the vertices placed
+    after the anchor avoid u and v, so only the anchor's degree test
+    sees the new edge.  add commits an edge to the host's own copy of
+    the rows, keeping the degrees and degree masks in step.  No Graph is
+    built and no argument is validated: callers pass pairs of distinct
+    vertices.
     """
 
     __slots__ = ("plan", "anchors", "rows", "degs", "deg_ok", "image")
@@ -163,7 +204,7 @@ class _Host:
         """Embeddings of the pattern into the host, stopping at limit."""
         plan, degs, deg_ok = self.plan, self.degs, self.deg_ok
         # none when the pattern has more vertices or edges, or a degree no vertex meets
-        if len(plan.order) > len(degs) or len(plan.anchors) > sum(degs) // 2 or not all(deg_ok):
+        if len(plan.order) > len(degs) or plan.edge_count > sum(degs) // 2 or not all(deg_ok):
             return 0
         return _search(self.rows, plan.order, plan.back, deg_ok, self.image, 0, 0, limit)
 
@@ -173,24 +214,27 @@ class _Host:
             return _mapping(self.plan.order, self.image)
         return None
 
-    def through_edge(self, u: int, v: int) -> tuple[int, ...] | None:
-        """Embedding whose image edge set contains edge uv, or None.
-
-        Anchors each pattern edge onto uv, then onto vu, skipping an
-        anchor whose pattern degrees the host vertices cannot meet.
-        """
+    def _through(self, u: int, v: int, du: int, dv: int) -> tuple[int, ...] | None:
+        """First copy mapping an anchor arc onto uv when u and v have
+        degrees du and dv, skipping an anchor whose pattern degrees
+        they cannot meet."""
         rows, deg_ok, image = self.rows, self.deg_ok, self.image
-        du, dv = self.degs[u], self.degs[v]
         used = (1 << u) | (1 << v)
-        orientations = ((u, v, du, dv), (v, u, dv, du))
-        for da, db, order, back in self.anchors:
-            for hu, hv, dhu, dhv in orientations:
-                if da > dhu or db > dhv:
-                    continue
-                image[0], image[1] = hu, hv
-                if _search(rows, order, back, deg_ok, image, 2, used, 1):
-                    return _mapping(order, image)
+        for dx, dy, order, back in self.anchors:
+            if dx > du or dy > dv:
+                continue
+            image[0], image[1] = u, v
+            if _search(rows, order, back, deg_ok, image, 2, used, 1):
+                return _mapping(order, image)
         return None
+
+    def through_edge(self, u: int, v: int) -> tuple[int, ...] | None:
+        """Embedding whose image edge set contains edge uv, or None."""
+        return self._through(u, v, self.degs[u], self.degs[v])
+
+    def through_added(self, u: int, v: int) -> tuple[int, ...] | None:
+        """through_edge(u, v) in host + uv, for a non-edge uv."""
+        return self._through(u, v, self.degs[u] + 1, self.degs[v] + 1)
 
     def add(self, u: int, v: int) -> None:
         """Add non-edge uv; each end joins the masks its new degree meets."""
@@ -201,23 +245,6 @@ class _Host:
             d = degs[w] = degs[w] + 1
             for pv in self.plan.of_degree.get(d, ()):
                 deg_ok[pv] |= 1 << w
-
-    def remove(self, u: int, v: int) -> None:
-        """Undo add(u, v)."""
-        rows, degs, deg_ok = self.rows, self.degs, self.deg_ok
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-        for w in (u, v):
-            for pv in self.plan.of_degree.get(degs[w], ()):
-                deg_ok[pv] &= ~(1 << w)
-            degs[w] -= 1
-
-    def through_added(self, u: int, v: int) -> tuple[int, ...] | None:
-        """through_edge(u, v) in host + uv; the host is restored."""
-        self.add(u, v)
-        found = self.through_edge(u, v)
-        self.remove(u, v)
-        return found
 
 
 def embedding_exists(pattern: Graph, host: Graph) -> tuple[int, ...] | None:
@@ -233,12 +260,12 @@ def copy_through_edge(
 ) -> tuple[int, ...] | None:
     """Embedding of pattern whose image edge set contains host edge e.
 
-    Every pattern edge is anchored onto e in both orientations before the
-    search extends, so existence is decided without enumerating copies.
+    One pattern arc per Aut-orbit is anchored onto e before the search
+    extends, so existence is decided without enumerating copies.
     Raises ValueError when e is not an edge of host.
     """
     u, v = e
-    if not host.has_edge(u, v):
+    if not (0 <= u < host.n and 0 <= v < host.n and host.has_edge(u, v)):
         raise ValueError(f"({u}, {v}) is not an edge of the host")
     return _Host(pattern, host).through_edge(u, v)
 

@@ -20,7 +20,21 @@ from domsat import (
     path_graph,
     star_graph,
 )
-from domsat.embed import _Host
+from domsat import embed
+from domsat.embed import _Host, _mapping, _plan, _search, _search_order
+
+# the pool patterns, then asymmetric and disconnected ones: 2K2, paw,
+# bull, K3+K2, P3+K1 and K1,4+K2
+ANCHOR_PATTERNS = (
+    complete_graph(3), complete_graph(4), cycle_graph(4), cycle_graph(5),
+    path_graph(3), star_graph(3), path_graph(4),
+    from_edges(4, [(0, 1), (2, 3)]),
+    from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)]),
+    disjoint_union([complete_graph(3), complete_graph(2)]),
+    disjoint_union([path_graph(3), empty_graph(1)]),
+    disjoint_union([star_graph(4), complete_graph(2)]),
+)
 
 PETERSEN = from_edges(
     10,
@@ -134,8 +148,10 @@ def test_copy_through_edge_examples():
         assert copy_through_edge(complete_graph(3), star, e) is None
     p3 = path_graph(3)
     assert copy_through_edge(p3, p3, (0, 1)) is not None
-    with pytest.raises(ValueError):
-        copy_through_edge(complete_graph(3), cycle_graph(4), (0, 2))
+    # vertex 3 is adjacent to 0, so (-1, 0) would wrap onto edge (3, 0)
+    for e in ((0, 2), (99, 0), (0, -1), (-1, 0)):
+        with pytest.raises(ValueError, match="is not an edge of the host"):
+            copy_through_edge(complete_graph(3), cycle_graph(4), e)
 
 
 @given(graphs(min_n=2, max_n=7))
@@ -178,3 +194,58 @@ def test_new_copies_appear_iff_through_edge(host, rnd):
                 tuple(sorted((through[a], through[b]))) for a, b in pattern.edges()
             }
             assert tuple(sorted(e)) in image_edges
+
+
+def _reference_through(pattern, host, u, v):
+    """The anchored search over every anchor, not one per arc orbit: each
+    pattern edge anchored onto uv, then onto vu, in host + uv."""
+    if not host.has_edge(u, v):
+        host = host.add_edge(u, v)
+    if pattern.n > host.n:
+        return None
+    degs, pdegs = host.degrees(), pattern.degrees()
+    deg_ok = [sum(1 << hv for hv in range(host.n) if degs[hv] >= d) for d in pdegs]
+    image = [0] * pattern.n
+    for a, b in pattern.edges():
+        order, back = _search_order(pattern, (a, b))
+        for hu, hv in ((u, v), (v, u)):
+            if pdegs[a] > degs[hu] or pdegs[b] > degs[hv]:
+                continue
+            image[0], image[1] = hu, hv
+            if _search(host.rows, order, back, deg_ok, image, 2, (1 << u) | (1 << v), 1):
+                return _mapping(order, image)
+    return None
+
+
+@given(graphs(min_n=2, max_n=8))
+@settings(max_examples=120, deadline=None)
+def test_anchored_probes_find_the_reference_mapping(host):
+    for pattern in ANCHOR_PATTERNS:
+        probe = _Host(pattern, host)
+        for e in host.edges():
+            assert probe.through_edge(*e) == _reference_through(pattern, host, *e), (pattern, e)
+        for e in host.non_edges():
+            assert probe.through_added(*e) == _reference_through(pattern, host, *e), (pattern, e)
+
+
+def test_one_anchor_per_arc_orbit():
+    for pattern in ANCHOR_PATTERNS:
+        edges = set(pattern.edges())
+        arcs = {arc for a, b in edges for arc in ((a, b), (b, a))}
+        auts = [
+            p for p in permutations(range(pattern.n))
+            if {tuple(sorted((p[a], p[b]))) for a, b in edges} == edges
+        ]
+        orbits = {frozenset((p[x], p[y]) for p in auts) for x, y in arcs}
+        assert len(_plan(pattern).anchors) == len(orbits), pattern
+
+
+def test_count_stops_early_below_the_pattern_edge_count(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched a host with too few edges")
+
+    monkeypatch.setattr(embed, "_search", no_search)
+    two_k2 = from_edges(4, [(0, 1), (2, 3)])
+    # every degree is met, so only the edge count rules the copies out
+    assert _Host(two_k2, from_edges(4, [(0, 1)])).count() == 0
+    assert _Host(cycle_graph(4), disjoint_union([complete_graph(3), empty_graph(1)])).count() == 0
