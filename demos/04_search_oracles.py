@@ -2,8 +2,9 @@
 """The exhaustive machinery that grounds every number in this package.
 
 Shows the two independent enumeration pipelines agreeing, the naive
-labeled oracle re-deriving a search value, the tree-lemma battery, and
-the structural bound set for a custom pattern.
+labeled oracle re-deriving a search value, the tree-lemma checks of the
+`verify` suite lemma-trees, and the structural bound set for a custom
+pattern.
 
 Usage: python demos/04_search_oracles.py
 """
@@ -15,9 +16,9 @@ from domsat import (
     graph6_encode,
     min_edges,
     structural_bounds,
-    verify_lemma_suite,
 )
 from domsat.oracle import labeled_class_counts, naive_min_edges
+from domsat.verify import suite_lemma_trees
 
 print("== two enumeration pipelines, one answer ==")
 for n in (4, 5, 6):
@@ -37,13 +38,9 @@ print(f"witness classes: {list(fast.witnesses)} vs {len(naive_wits)} labeled rep
 
 print()
 print("== the tree-witness battery ==")
-for j in (2, 3):
-    rep = verify_lemma_suite(j)
-    print(
-        f"j={j}: {rep.trees_checked} tree classes, {rep.stars} stars, "
-        f"{len(rep.failures)} failures"
-    )
-    assert rep.passed
+for check in suite_lemma_trees().checks:
+    print(f"{check.label}: {check.detail}")
+    assert check.passed
 
 print()
 print("== structural bounds for a custom pattern ==")

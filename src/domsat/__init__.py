@@ -43,13 +43,13 @@ _EXPORTS = {
     ),
     "predicates": (
         "PredicateReport", "is_dom_sat", "is_dominated", "is_free", "is_saturated",
-        "is_semi_saturated", "is_weakly_saturated", "lemma_tree_witness",
-        "recheck_certificate", "run_predicate", "tree_witness_ok",
+        "is_semi_saturated", "is_weakly_saturated", "recheck_certificate",
+        "run_predicate",
     ),
     "search": (
-        "DensityProfile", "LemmaSuiteReport", "SearchCapError", "SearchResult",
-        "density_profile", "min_edges", "verify_lemma_suite",
+        "DensityProfile", "SearchCapError", "SearchResult", "density_profile", "min_edges",
     ),
+    "verify": ("lemma_tree_witness", "tree_witness_ok"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

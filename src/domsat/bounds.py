@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from ._json import plain, record
 from .constructions import _clique_pair, bridge_pair_order, neighborhood_scan
-from .graphs import Graph, _bits, bridges, component_graphs, disjoint_union, is_star
+from .graphs import Graph, bridges, component_graphs, disjoint_union, is_star
 from .predicates import _require_pattern, is_dom_sat
 
 
@@ -112,7 +112,9 @@ def known_density(family: str, **params):
     """Exact density (paths) or [lower, upper] interval for a family.
 
     Families: path(r), cycle(r), star(r), star_plus(s), kt_path_sat(r);
-    the last is the classical path saturation density kept as an oracle.
+    the last is the classical path saturation density kept as an oracle,
+    1 - 1/a_r for r = 3 and r >= 5; sat(n, P_4) is n/2 or (n+3)/2 by the
+    parity of n (Kaszonyi and Tuza, J. Graph Theory 10, 1986), so 1/2.
     """
     key = family.replace("-", "_")
     if key == "path":
@@ -146,6 +148,8 @@ def known_density(family: str, **params):
         r = _param(family, params, "r")
         if r < 3:
             raise ValueError("need r >= 3")
+        if r == 4:
+            return Fraction(1, 2)
         if r % 2:
             j = (r - 1) // 2
             return 1 - Fraction(1, 2 * 2**j - 2)
@@ -176,34 +180,22 @@ def _certified_pair_order(f: Graph) -> tuple[int | None, int | None]:
 
 
 def _cut_pair_bound(f: Graph) -> Fraction | None:
-    """Min of k + (r-1)/2 over disjoint U, W with exactly one U-W edge
-    and |U | W| = r <= 6; exhaustive subset scan."""
-    n = f.n
+    """Min of k + (r-1)/2 over disjoint U, W with exactly one U-W edge,
+    |U | W| = r <= 6 and k = |N(U | W) - (U | W)|.  The value depends on
+    S = U | W alone, and S splits so exactly when f[S] has a bridge (U is
+    one end's side once the bridge is removed)."""
     best = None
-    verts = list(range(n))
-    for r in range(2, min(6, n) + 1):
-        for subset in combinations(verts, r):
-            sub_mask = 0
+    for r in range(2, min(6, f.n) + 1):
+        for subset in combinations(range(f.n), r):
+            sub_mask = nbrs = 0
             for v in subset:
                 sub_mask |= 1 << v
-            for split in range(1 << (r - 1)):  # first subset vertex stays in U
-                u_mask = 1 << subset[0]
-                for i in range(1, r):
-                    if split >> (i - 1) & 1:
-                        u_mask |= 1 << subset[i]
-                w_mask = sub_mask & ~u_mask
-                if not w_mask:
-                    continue
-                cross = sum((f.rows[v] & w_mask).bit_count() for v in _bits(u_mask))
-                if cross != 1:
-                    continue
-                nbrs = 0
-                for v in _bits(sub_mask):
-                    nbrs |= f.rows[v]
-                k = (nbrs & ~sub_mask).bit_count()
-                value = Fraction(k) + Fraction(r - 1, 2)
-                if best is None or value < best:
-                    best = value
+                nbrs |= f.rows[v]
+            if not bridges(f.subgraph(sub_mask)):
+                continue
+            value = Fraction((nbrs & ~sub_mask).bit_count()) + Fraction(r - 1, 2)
+            if best is None or value < best:
+                best = value
     return best
 
 

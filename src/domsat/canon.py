@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .graph6 import graph6_encode
-from .graphs import Graph, _bits, _trusted_graph
+from .graphs import Graph, _bits, _relabelled, _trusted_graph
 
 
 def _refine(rows: tuple[int, ...], cells: list[int]) -> list[int]:
@@ -85,16 +85,7 @@ def _encode(rows: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
     pos = [0] * len(order)
     for i, v in enumerate(order):
         pos[v] = i
-    out = []
-    for v in order:
-        acc = 0
-        row = rows[v]
-        while row:
-            low = row & -row
-            row ^= low
-            acc |= 1 << pos[low.bit_length() - 1]
-        out.append(acc)
-    return tuple(out)
+    return _relabelled(rows, pos)
 
 
 def _orbit_roots(n: int, gens: Sequence[Sequence[int]]) -> list[int]:

@@ -146,16 +146,7 @@ class Graph:
         """Apply the vertex relabeling v -> perm[v]."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("relabeling is not a permutation of 0..n-1")
-        rows = [0] * self.n
-        for v in range(self.n):
-            acc = 0
-            row = self.rows[v]
-            while row:
-                low = row & -row
-                row ^= low
-                acc |= 1 << perm[low.bit_length() - 1]
-            rows[perm[v]] = acc
-        return _trusted_graph(self.n, tuple(rows))
+        return _trusted_graph(self.n, _relabelled(self.rows, perm))
 
     def subgraph(self, mask: int) -> "Graph":
         """Induced subgraph on the vertices of mask, compactly relabeled.
@@ -186,6 +177,20 @@ class Graph:
 # slot setters; they bypass Graph.__setattr__, which refuses every write
 _set_n = Graph.n.__set__
 _set_rows = Graph.rows.__set__
+
+
+def _relabelled(rows: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency rows after moving each vertex v to perm[v]; perm is
+    trusted to be a permutation of the row indices."""
+    out = [0] * len(rows)
+    for v, row in enumerate(rows):
+        acc = 0
+        while row:
+            low = row & -row
+            row ^= low
+            acc |= 1 << perm[low.bit_length() - 1]
+        out[perm[v]] = acc
+    return tuple(out)
 
 
 def _trusted_graph(n: int, rows: tuple[int, ...]) -> Graph:

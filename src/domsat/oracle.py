@@ -3,8 +3,10 @@
 A labeled graph on n vertices is an integer whose bits select pairs from
 the lexicographic pair list; the canonical key of a class is the minimum
 of that integer over all n! vertex permutations.  Nothing here is shared
-with enumeration.py or canon.py, so agreement between the two pipelines
-is a real cross-check rather than a tautology.
+with enumeration.py, so agreement between the two class pipelines is a
+real cross-check.  naive_min_edges decides each graph with run_predicate
+(loading predicates, embed and canon), so it checks the sweep, not the
+predicates (ROADMAP item 1).
 
 Intended for n <= 6 (class counting sweeps the whole 2^C(n,2) space) and
 for small minimum-edge reruns driven by edge-subset enumeration.  For

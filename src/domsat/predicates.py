@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from ._json import record
 from .embed import _Host, is_valid_embedding
-from .graphs import Graph, _bits, is_star, is_tree
+from .graphs import Graph
 
 CERT_NONE = "none"
 CERT_EMBEDDING = "embedding"
@@ -218,57 +218,3 @@ def recheck_certificate(report: PredicateReport, g: Graph, f: Graph) -> bool:
     complete = all(row | 1 << u == g.vertex_mask for u, row in enumerate(probe.rows))
     return report.verdict and complete
 
-
-# -- the tree witness lemma -------------------------------------------------
-
-
-def _exists_path_from(g: Graph, alive: int, starts: int, j: int) -> bool:
-    """Is there a simple path on exactly j vertices inside alive whose
-    first vertex lies in starts?"""
-    if j <= 0:
-        return False
-    starts &= alive
-    if j == 1:
-        return starts != 0
-
-    def rec(cur: int, visited: int, length: int) -> bool:
-        if length == j:
-            return True
-        for w in _bits(g.rows[cur] & alive & ~visited):
-            if rec(w, visited | 1 << w, length + 1):
-                return True
-        return False
-
-    return any(rec(s, 1 << s, 1) for s in _bits(starts))
-
-
-def tree_witness_ok(t: Graph, j: int, u: int, v: int) -> bool:
-    """Does the pair (u, v) satisfy the tree lemma for t and j?
-
-    u, v distinct and non-adjacent, and t-u-v has no j-vertex path with
-    an endpoint in N(u) | N(v).
-    """
-    if u == v or t.has_edge(u, v):
-        return False
-    alive = t.vertex_mask & ~(1 << u) & ~(1 << v)
-    starts = (t.rows[u] | t.rows[v]) & alive
-    return not _exists_path_from(t, alive, starts, j)
-
-
-def lemma_tree_witness(t: Graph, j: int):
-    """For a tree on 3 <= n < 3j vertices: "star", or a verified pair.
-
-    The returned pair (u, v) is distinct, non-adjacent, and t-u-v has no
-    j-vertex path with an endpoint in N(u) | N(v); found by brute force
-    over all non-adjacent pairs with exhaustive path checking.
-    """
-    if not is_tree(t):
-        raise ValueError("input is not a tree")
-    if not 3 <= t.n < 3 * j:
-        raise ValueError(f"tree order {t.n} outside the lemma range 3 <= n < {3 * j}")
-    if is_star(t):
-        return "star"
-    for u, v in t.non_edges():
-        if tree_witness_ok(t, j, u, v):
-            return (u, v)
-    raise RuntimeError("no witness pair found; the tree lemma should guarantee one")

@@ -18,15 +18,10 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from ._json import record
 from .canon import canonical_form
-from .enumeration import MAX_ENUM_VERTICES, enumerate_graphs, enumerate_trees
+from .enumeration import MAX_ENUM_VERTICES, enumerate_graphs
 from .graph6 import graph6_encode
 from .graphs import Graph, component_graphs
-from .predicates import (
-    PREDICATES,
-    _require_pattern,
-    lemma_tree_witness,
-    tree_witness_ok,
-)
+from .predicates import PREDICATES, _require_pattern
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -223,44 +218,3 @@ def density_profile(
     pattern_g6 = graph6_encode(canonical_form(pattern))
     return DensityProfile(pattern_g6, predicate, tuple(rows))
 
-
-# -- tree lemma battery -------------------------------------------------------
-
-
-class LemmaSuiteReport(NamedTuple):
-    j: int
-    trees_checked: int
-    stars: int
-    failures: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def verify_lemma_suite(j: int) -> LemmaSuiteReport:
-    """Run the tree-witness lemma over every tree with 3 <= t < 3j vertices.
-
-    Every non-star tree must yield a pair that re-verifies by exhaustive
-    path search; stars are counted separately.
-    """
-    if j < 2:
-        raise ValueError("need j >= 2")
-    checked = 0
-    stars = 0
-    failures = []
-    for order in range(3, 3 * j):
-        for tree in enumerate_trees(order):
-            checked += 1
-            try:
-                witness = lemma_tree_witness(tree, j)
-            except (ValueError, RuntimeError) as exc:
-                failures.append(f"{graph6_encode(tree)}: {exc}")
-                continue
-            if witness == "star":
-                stars += 1
-                continue
-            u, v = witness
-            if not tree_witness_ok(tree, j, u, v):
-                failures.append(f"{graph6_encode(tree)}: pair {witness} failed recheck")
-    return LemmaSuiteReport(j, checked, stars, tuple(failures))

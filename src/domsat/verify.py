@@ -2,7 +2,8 @@
 
 Each suite checks one cluster of facts over exhaustive desk-scale
 universes and returns a structured report; the command-line `verify`
-subcommand and the acceptance tests both run these.
+subcommand and the acceptance tests both run these.  The tree-witness
+lemma lives here too, beside the suite that checks it.
 
 Quantification note: hosts range over graphs with at least one edge
 (the theory's blanket assumption).  Semi-saturation-based facts exempt
@@ -24,7 +25,8 @@ from .constructions import (
     star_family,
     star_plus_pair,
 )
-from .enumeration import all_classes
+from .embed import _search
+from .enumeration import all_classes, enumerate_trees
 from .graph6 import graph6_encode
 from .graphs import (
     Graph,
@@ -34,11 +36,13 @@ from .graphs import (
     disjoint_union,
     is_k_connected,
     is_k_edge_connected,
+    is_star,
+    is_tree,
     path_graph,
     star_graph,
 )
 from .predicates import is_dom_sat, is_dominated, is_semi_saturated
-from .search import min_edges, verify_lemma_suite
+from .search import min_edges
 
 
 class Check(NamedTuple):
@@ -182,14 +186,75 @@ def suite_connectivity() -> SuiteResult:
     )
 
 
+# -- the tree witness lemma -------------------------------------------------
+
+
+def _exists_path_from(g: Graph, alive: int, starts: int, j: int) -> bool:
+    """Is there a simple path on exactly j vertices inside alive whose
+    first vertex lies in starts?  Searched as an embedding of P_j."""
+    if j <= 0:
+        return False
+    back = ((),) + tuple((i - 1,) for i in range(1, j))
+    masks = (starts & alive,) + (alive,) * (j - 1)
+    return bool(_search(g.rows, tuple(range(j)), back, masks, [0] * j, 0, 0, 1))
+
+
+def tree_witness_ok(t: Graph, j: int, u: int, v: int) -> bool:
+    """Does the pair (u, v) satisfy the tree lemma for t and j?
+
+    u, v distinct and non-adjacent, and t-u-v has no j-vertex path with
+    an endpoint in N(u) | N(v).
+    """
+    if u == v or t.has_edge(u, v):
+        return False
+    alive = t.vertex_mask & ~(1 << u) & ~(1 << v)
+    starts = (t.rows[u] | t.rows[v]) & alive
+    return not _exists_path_from(t, alive, starts, j)
+
+
+def lemma_tree_witness(t: Graph, j: int):
+    """For a tree on 3 <= n < 3j vertices: "star", or a verified pair.
+
+    The returned pair (u, v) is distinct, non-adjacent, and t-u-v has no
+    j-vertex path with an endpoint in N(u) | N(v); found by brute force
+    over all non-adjacent pairs with exhaustive path checking.
+    """
+    if not is_tree(t):
+        raise ValueError("input is not a tree")
+    if not 3 <= t.n < 3 * j:
+        raise ValueError(f"tree order {t.n} outside the lemma range 3 <= n < {3 * j}")
+    if is_star(t):
+        return "star"
+    for u, v in t.non_edges():
+        if tree_witness_ok(t, j, u, v):
+            return (u, v)
+    raise RuntimeError("no witness pair found; the tree lemma should guarantee one")
+
+
 def suite_lemma_trees() -> SuiteResult:
+    """The tree-witness lemma over every tree with 3 <= n < 3j vertices,
+    for j = 2 and 3: every non-star tree must yield a pair that
+    re-verifies by exhaustive path search; stars are counted separately."""
     checks = []
     for j in (2, 3):
-        rep = verify_lemma_suite(j)
-        detail = f"{rep.trees_checked} trees, {rep.stars} stars"
-        if rep.failures:
-            detail += f"; failures: {rep.failures[:3]}"
-        checks.append(Check(f"tree-lemma-j{j}", rep.passed, detail))
+        checked = stars = 0
+        failures = []
+        for order in range(3, 3 * j):
+            for tree in enumerate_trees(order):
+                checked += 1
+                try:
+                    witness = lemma_tree_witness(tree, j)
+                except (ValueError, RuntimeError) as exc:
+                    failures.append(f"{graph6_encode(tree)}: {exc}")
+                    continue
+                if witness == "star":
+                    stars += 1
+                elif not tree_witness_ok(tree, j, *witness):
+                    failures.append(f"{graph6_encode(tree)}: pair {witness} failed recheck")
+        detail = f"{checked} trees, {stars} stars"
+        if failures:
+            detail += f"; failures: {tuple(failures[:3])}"
+        checks.append(Check(f"tree-lemma-j{j}", not failures, detail))
     return SuiteResult("lemma-trees", tuple(checks))
 
 

@@ -21,7 +21,6 @@ from domsat import (
     min_edges,
     path_graph,
     sat_clique,
-    verify_lemma_suite,
 )
 from domsat.enumeration import all_classes
 from domsat.oracle import labeled_class_counts, naive_min_edges
@@ -29,6 +28,7 @@ from domsat.verify import (
     suite_connectivity,
     suite_constructions,
     suite_facts,
+    suite_lemma_trees,
 )
 
 from conftest import run_python
@@ -100,10 +100,11 @@ def test_criterion_04_cycle_negative_control():
 
 
 def test_criterion_05_tree_lemma_suite():
-    rep2 = verify_lemma_suite(2)
-    assert rep2.passed and rep2.trees_checked == 6
-    rep3 = verify_lemma_suite(3)
-    assert rep3.passed and rep3.trees_checked == 46
+    checks = suite_lemma_trees().checks
+    assert [(c.label, c.passed, c.detail) for c in checks] == [
+        ("tree-lemma-j2", True, "6 trees, 3 stars"),
+        ("tree-lemma-j3", True, "46 trees, 6 stars"),
+    ]
     _report(5, "tree lemma holds for every tree class at j=2 and j=3")
 
 

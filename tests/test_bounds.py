@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -20,6 +21,7 @@ from domsat import (
     star_plus_pair,
     structural_bounds,
 )
+from domsat.bounds import _cut_pair_bound
 
 
 def test_sat_clique_values():
@@ -72,6 +74,9 @@ def test_known_density_values():
     assert known_density("star_plus", s=7) == (Fraction(6, 7), Fraction(11, 12))
     assert known_density("kt_path_sat", r=5) == Fraction(5, 6)
     assert known_density("kt_path_sat", r=3) == Fraction(1, 2)
+    # P_4-saturated minima 2, 4, 3, 5, 4, 6 for n = 4..9: n/2 or (n+3)/2
+    assert known_density("kt_path_sat", r=4) == Fraction(1, 2)
+    assert known_density("kt_path_sat", r=6) == Fraction(9, 10)
     with pytest.raises(ValueError):
         known_density("petersen", r=3)
     with pytest.raises(ValueError, match="'r'"):
@@ -151,6 +156,36 @@ def test_neighborhood_bound_is_least_over_edges():
             )
             by_source = {b.source: b.value for b in structural_bounds(f).upper}
             assert by_source["neighborhood"] == want
+
+
+def _cut_pair_by_splits(f):
+    """k + (r-1)/2 minimised by trying every split of every vertex set S,
+    |S| = r <= 6, into U, W with exactly one U-W edge."""
+    best = None
+    for r in range(2, min(6, f.n) + 1):
+        for subset in combinations(range(f.n), r):
+            s_mask = sum(1 << v for v in subset)
+            nbrs = 0
+            for v in subset:
+                nbrs |= f.rows[v]
+            for split in range(1 << (r - 1)):  # subset[0] stays in U
+                u_mask = 1 << subset[0]
+                for i in range(1, r):
+                    if split >> (i - 1) & 1:
+                        u_mask |= 1 << subset[i]
+                w_mask = s_mask & ~u_mask
+                cross = sum((f.rows[v] & w_mask).bit_count() for v in subset if u_mask >> v & 1)
+                if w_mask and cross == 1:
+                    value = Fraction((nbrs & ~s_mask).bit_count()) + Fraction(r - 1, 2)
+                    best = value if best is None else min(best, value)
+    return best
+
+
+def test_cut_pair_bound_matches_split_scan():
+    patterns = [f for n in range(2, 7) for f in all_classes(n) if f.edge_count]
+    patterns += [path_graph(9), complete_graph(8), cycle_gadget(None, 5), dom_turan(10, 4)]
+    for f in patterns:
+        assert _cut_pair_bound(f) == _cut_pair_by_splits(f), f
 
 
 def test_structural_bounds_star_records_both_candidates():

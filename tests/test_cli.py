@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import run_python
+from domsat.cli import SUITE_NAMES
 
 
 def run_cli(*args, env_extra=None, stdin=None):
@@ -210,8 +211,9 @@ def test_forged_cache_file_is_ignored(tmp_path):
     assert run_cli(*args, "--cache", str(forged)).returncode == 2
 
 
-def test_verify_suite_lemma_trees():
-    out = run_cli("verify", "--suite", "lemma-trees")
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_verify_suite_passes(suite):
+    out = run_cli("verify", "--suite", suite)
     assert out.returncode == 0
     assert "result: pass" in out.stdout
 

@@ -1,4 +1,5 @@
-"""The package surface, what a fresh CLI query imports, and the demos."""
+"""The package surface, its typed input errors, what a fresh CLI query
+imports, and the demos."""
 
 import ast
 import importlib
@@ -8,6 +9,7 @@ import pytest
 
 import domsat
 from conftest import ROOT, SRC, run_python
+from domsat import oracle
 
 # submodule -> the names `from domsat import ...` has always offered from it
 EXPORTS = {
@@ -40,13 +42,13 @@ EXPORTS = {
     ],
     "predicates": [
         "PredicateReport", "is_dom_sat", "is_dominated", "is_free", "is_saturated",
-        "is_semi_saturated", "is_weakly_saturated", "lemma_tree_witness",
-        "recheck_certificate", "run_predicate", "tree_witness_ok",
+        "is_semi_saturated", "is_weakly_saturated", "recheck_certificate",
+        "run_predicate",
     ],
     "search": [
-        "DensityProfile", "LemmaSuiteReport", "SearchCapError", "SearchResult",
-        "density_profile", "min_edges", "verify_lemma_suite",
+        "DensityProfile", "SearchCapError", "SearchResult", "density_profile", "min_edges",
     ],
+    "verify": ["lemma_tree_witness", "tree_witness_ok"],
 }
 
 # modules a `compute` or `check` query never runs
@@ -61,7 +63,7 @@ NOT_ON_QUERY_PATH = (
 
 def test_all_is_the_pinned_surface():
     pinned = sorted(name for names in EXPORTS.values() for name in names)
-    assert len(pinned) == 76
+    assert len(pinned) == 74
     assert sorted(domsat.__all__) == pinned
     assert len(set(domsat.__all__)) == len(domsat.__all__)
     assert set(pinned) <= set(dir(domsat))
@@ -93,6 +95,60 @@ def test_unknown_name_is_an_attribute_error_naming_it():
         domsat.no_such_name
     with pytest.raises(ImportError, match="no_such_name"):
         exec("from domsat import no_such_name", {})
+
+
+# -- typed input errors ----------------------------------------------------------
+
+
+K3, K40, K30 = (domsat.complete_graph(n) for n in (3, 40, 30))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: K3.subgraph(0),
+        lambda: domsat.cycle_graph(2),
+        lambda: domsat.star_graph(0),
+        lambda: domsat.join(K40, K30),
+        lambda: domsat.disjoint_union([K40, K30]),
+        lambda: domsat.disjoint_union([]),
+        lambda: domsat.is_k_edge_connected(K3, -1),
+        lambda: domsat.cycle_gadget_layout(None, 5, 0),
+        lambda: domsat.neighborhood_scan(domsat.empty_graph(3)),
+        lambda: oracle.labeled_class_counts(7),
+        lambda: oracle.level_counts(0),
+        lambda: oracle.naive_min_edges(K3, 8, "dom-sat"),
+        lambda: domsat.dsat_clique_upper_edges(2, 3),
+        lambda: domsat.star_density_candidates(1),
+        lambda: domsat.known_density("path", r=2),
+        lambda: domsat.known_density("cycle", r=3),
+        lambda: domsat.known_density("star", r=1),
+        lambda: domsat.known_density("star_plus", s=3),
+        lambda: domsat.known_density("kt_path_sat", r=2),
+    ],
+    ids=[
+        "subgraph-empty", "cycle-2", "star-0", "join-past-64", "union-past-64",
+        "union-empty", "edge-connectivity-negative", "gadget-loop-0", "scan-edgeless",
+        "oracle-sweep-7", "level-counts-0", "naive-sweep-8", "upper-edges-n-below-r",
+        "star-candidates-1", "path-density-2", "cycle-density-3", "star-density-1",
+        "star-plus-density-3", "kt-path-density-2",
+    ],
+)
+def test_documented_input_errors_are_value_errors(call):
+    # ValueError subclasses (ConstructionError) count
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_oracle_loads_no_enumeration():
+    # the oracle's class counts are a cross-check of enumeration's
+    out = run_python(
+        "-c",
+        "import sys, domsat.oracle\n"
+        "print('domsat.enumeration' in sys.modules)"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 # -- the import boundary ---------------------------------------------------------

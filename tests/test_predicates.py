@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -392,3 +393,25 @@ def test_lemma_fourteen_vertex_spider():
     pair = lemma_tree_witness(spider, 5)
     assert pair != "star"
     assert tree_witness_ok(spider, 5, *pair)
+
+
+def test_lemma_path_search_matches_vertex_sequences():
+    # every sequence of j distinct vertices of t-u-v, consecutive ones
+    # adjacent, the first in N(u) | N(v)
+    from domsat.enumeration import enumerate_trees
+    from domsat.verify import _exists_path_from
+
+    for order in range(1, 8):
+        for t in enumerate_trees(order):
+            for u, v in t.non_edges():
+                alive = t.vertex_mask & ~(1 << u) & ~(1 << v)
+                starts = (t.rows[u] | t.rows[v]) & alive
+                rest = [w for w in range(t.n) if alive >> w & 1]
+                for j in range(1, 6):
+                    want = any(
+                        starts >> seq[0] & 1
+                        and all(t.has_edge(a, b) for a, b in zip(seq, seq[1:]))
+                        for seq in permutations(rest, j)
+                    )
+                    assert _exists_path_from(t, alive, starts, j) == want, (t, u, v, j)
+                    assert tree_witness_ok(t, j, u, v) == (not want)

@@ -14,7 +14,6 @@ from domsat import (
     path_graph,
     run_predicate,
     star_graph,
-    verify_lemma_suite,
 )
 from domsat import enumeration, search
 from domsat.search import SEARCH_PREDICATES
@@ -175,9 +174,12 @@ def test_density_profile():
 
 
 def test_lemma_suite_reports():
-    rep = verify_lemma_suite(2)
-    assert rep.passed and rep.trees_checked == 6 and rep.stars == 3
-    rep = verify_lemma_suite(3)
-    assert rep.passed and rep.trees_checked == 46
-    with pytest.raises(ValueError):
-        verify_lemma_suite(1)
+    from domsat.verify import suite_lemma_trees
+
+    assert suite_lemma_trees() == (
+        "lemma-trees",
+        (
+            ("tree-lemma-j2", True, "6 trees, 3 stars"),
+            ("tree-lemma-j3", True, "46 trees, 6 stars"),
+        ),
+    )
