@@ -23,7 +23,9 @@ equal to the best leaf, records the automorphism there and jumps back to
 the common ancestor: the rest of its subtree is the image of one already
 searched, so the least leaf and the orbit argument are unchanged.
 canonical_form_with_generators hands the generators to enumeration,
-relabeled onto the canonical form.
+relabeled onto the canonical form.  _pair_orbit_roots applies them to
+vertex pairs: enumeration's non-edge orbits and canonical-edge test and
+embed's one anchor arc per orbit all call it.
 """
 
 from __future__ import annotations
@@ -80,14 +82,6 @@ def _refine(rows: tuple[int, ...], cells: list[int]) -> list[int]:
     return cells
 
 
-def _encode(rows: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
-    """Adjacency rows after placing vertex order[i] at position i."""
-    pos = [0] * len(order)
-    for i, v in enumerate(order):
-        pos[v] = i
-    return _relabelled(rows, pos)
-
-
 def _orbit_roots(n: int, gens: Sequence[Sequence[int]]) -> list[int]:
     """The least point of each point's orbit under the group gens generate."""
     roots = [-1] * n
@@ -105,38 +99,59 @@ def _orbit_roots(n: int, gens: Sequence[Sequence[int]]) -> list[int]:
     return roots
 
 
+def _pair_orbit_roots(pairs: Sequence[tuple[int, int]], gens: Sequence[Sequence[int]]) -> list[int]:
+    """Orbit roots, as indices into pairs, of vertex pairs under <gens>.
+    p sends (u, v) to (p[u], p[v]) if pairs lists it, else to (p[v], p[u]),
+    so pairs may be unordered pairs listed once or arcs listed with their
+    reverses; pairs must be closed under the generators."""
+    index: dict[tuple[int, int], int] = {}
+    for i, (u, v) in enumerate(pairs):
+        index[u, v] = i
+        index.setdefault((v, u), i)  # a listed pair keeps its own index
+    return _orbit_roots(len(pairs), [[index[p[u], p[v]] for u, v in pairs] for p in gens])
+
+
+def _pair_orbit_firsts(
+    pairs: Sequence[tuple[int, int]], gens: Sequence[Sequence[int]]
+) -> list[tuple[int, int]]:
+    """The first pair, in the order given, of each orbit of <gens> on pairs."""
+    roots = _pair_orbit_roots(pairs, gens)
+    return [e for i, e in enumerate(pairs) if roots[i] == i]
+
+
 @lru_cache(maxsize=1)
 def _canonical_search(
     g: Graph,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The least leaf's vertex order, its encoding (the canonical form's
-    rows), the automorphisms of g found when leaves collided, and the
-    vertices individualized on the way to the first least leaf.
+    """Each vertex's position (old -> new) at the least leaf, that leaf's
+    encoding (the canonical form's rows), the automorphisms of g found
+    when leaves collided, and the vertices individualized on the way to
+    the first least leaf.
 
     The last result is cached, so the readers below share one search
     when they ask about the same graph in a row."""
     rows = g.rows
     n = g.n
     best_enc: tuple[int, ...] | None = None
-    best_order: list[int] | None = None
+    best_pos: list[int] | None = None
     best_fixed: tuple[int, ...] = ()
     autos: list[tuple[int, ...]] = []
 
     def descend(cells: list[int], fixed: tuple[int, ...]) -> int:
         """Search below fixed; return the depth to resume at (n: no jump)."""
-        nonlocal best_enc, best_order, best_fixed
+        nonlocal best_enc, best_pos, best_fixed
         cells = _refine(rows, cells)
         target = next((c for c in cells if c & (c - 1)), 0)
         if not target:
-            order = [c.bit_length() - 1 for c in cells]
-            enc = _encode(rows, order)
+            pos = [0] * n
+            for i, c in enumerate(cells):
+                pos[c.bit_length() - 1] = i
+            enc = _relabelled(rows, pos)
             if best_enc is None or enc < best_enc:
-                best_enc, best_order, best_fixed = enc, order, fixed
+                best_enc, best_pos, best_fixed = enc, pos, fixed
             elif enc == best_enc:
-                perm = [0] * n
-                for i in range(n):
-                    perm[best_order[i]] = order[i]
-                autos.append(tuple(perm))
+                # x goes to the vertex this leaf puts where the best leaf put x
+                autos.append(tuple(cells[i].bit_length() - 1 for i in best_pos))
                 # jump back to the deepest common ancestor with the best leaf
                 c = 0
                 while fixed[c] == best_fixed[c]:
@@ -169,17 +184,13 @@ def _canonical_search(
     # descend holds itself through its closure; breaking that cycle frees
     # the search's lists now instead of at the next cycle collection
     del descend
-    assert best_order is not None and best_enc is not None
-    return tuple(best_order), best_enc, tuple(autos), best_fixed
+    assert best_pos is not None and best_enc is not None
+    return tuple(best_pos), best_enc, tuple(autos), best_fixed
 
 
 def canonical_relabeling(g: Graph) -> tuple[int, ...]:
     """Permutation old -> new realizing the canonical form."""
-    order = _canonical_search(g)[0]
-    perm = [0] * g.n
-    for new, old in enumerate(order):
-        perm[old] = new
-    return tuple(perm)
+    return _canonical_search(g)[0]
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -197,11 +208,10 @@ def canonical_form_with_generators(g: Graph) -> tuple[Graph, list[tuple[int, ...
     The automorphisms are permutations of the canonical labels, and they
     generate its whole automorphism group.
     """
-    order, enc, autos, _ = _canonical_search(g)
-    perm = canonical_relabeling(g)
-    # a in g's labels becomes b = perm a perm^-1: b[perm[v]] = perm[a[v]]
-    gens = [tuple(perm[a[v]] for v in order) for a in autos]
-    return _trusted_graph(g.n, enc), gens
+    pos, _, autos, _ = _canonical_search(g)
+    order = sorted(range(g.n), key=pos.__getitem__)  # old vertex at each new label
+    # a in g's labels becomes b = pos a pos^-1: b[pos[v]] = pos[a[v]]
+    return canonical_form(g), [tuple(pos[a[v]] for v in order) for a in autos]
 
 
 def canonical_graph6(g: Graph) -> str:

@@ -14,11 +14,11 @@ set-up and many searches.
 
 An anchored search maps a pattern arc (ordered edge) onto uv and
 extends.  Arcs in one orbit of Aut(pattern) succeed or fail together,
-so only the first arc of each orbit is tried (McKay and Piperno 2014,
-as in canon).  The vertices placed after the anchor avoid u and v, so
-adding uv changes only the anchor's degree test: "through uv once
-added" runs the same search with deg u + 1 and deg v + 1 and leaves the
-host as it is.
+so only the first arc of each orbit is tried, as canon's pair-orbit
+routine finds it (McKay and Piperno 2014).  The vertices placed after
+the anchor avoid u and v, so adding uv changes only the anchor's degree
+test: "through uv once added" runs the same search with deg u + 1 and
+deg v + 1 and leaves the host as it is.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import inf
 from typing import NamedTuple
 
-from .canon import _canonical_search, _orbit_roots, automorphism_order
+from .canon import _canonical_search, _pair_orbit_firsts, automorphism_order
 from .graphs import Graph
 
 
@@ -85,33 +85,13 @@ class _Plan(NamedTuple):
     of_degree: dict[int, tuple[int, ...]]
 
 
-def _arc_orbit_firsts(pattern: Graph) -> list[tuple[int, int]]:
-    """The first arc, in edges() order with (a, b) before (b, a), of each
-    orbit of Aut(pattern) on arcs."""
-    n = pattern.n
-    # arc (x, y) is point x * n + y; canon's automorphisms generate Aut
-    gens = [
-        tuple(p[i // n] * n + p[i % n] for i in range(n * n))
-        for p in _canonical_search(pattern)[2]
-    ]
-    roots = _orbit_roots(n * n, gens)
-    seen: set[int] = set()
-    firsts = []
-    for a, b in pattern.edges():
-        for x, y in ((a, b), (b, a)):
-            root = roots[x * n + y]
-            if root not in seen:
-                seen.add(root)
-                firsts.append((x, y))
-    return firsts
-
-
 @lru_cache(maxsize=1024)
 def _plan(pattern: Graph) -> _Plan:
     degs = pattern.degrees()
+    arcs = [arc for a, b in pattern.edges() for arc in ((a, b), (b, a))]
     anchors = tuple(
         (degs[x], degs[y], *_search_order(pattern, (x, y)))
-        for x, y in _arc_orbit_firsts(pattern)
+        for x, y in _pair_orbit_firsts(arcs, _canonical_search(pattern)[2])
     )
     of_degree = {d: tuple(pv for pv in range(pattern.n) if degs[pv] == d) for d in set(degs)}
     return _Plan(degs, pattern.edge_count, *_search_order(pattern), anchors, of_degree)

@@ -12,11 +12,12 @@ class, so exactly one parent, and within it one non-edge orbit, passes
 the test: every class is produced exactly once and needs no
 deduplication.  The key is an isomorphism invariant, so most children
 are rejected before they are canonically labelled.  Each automorphism
-group comes as the generators that the canonical labelling search
-found, which generate the whole group (see canon.py).  Levels are cached per n for
-the life of the process and streamed in graph6 order, so repeated
-sweeps are cheap; generators are kept for the last level only.  The
-cache takes no lock: callers are single-threaded.
+group, the empty graph's too, comes as the generators that the
+canonical labelling search found, and both orbit steps call canon's
+pair-orbit routine (see canon.py).  Levels are cached per n for the
+life of the process and streamed in graph6 order, so repeated sweeps
+are cheap; generators are kept for the last level only.  The cache
+takes no lock: callers are single-threaded.
 
 The independent anti-hallucination oracle lives in oracle.py and shares
 no code with this path.
@@ -26,46 +27,15 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .canon import _orbit_roots, canonical_form_with_generators, canonical_relabeling
+from .canon import _canonical_search, _pair_orbit_firsts, _pair_orbit_roots
+from .canon import canonical_form_with_generators
 from .graph6 import graph6_encode
 from .graphs import Graph, empty_graph
 
 MAX_ENUM_VERTICES = 10
 
-Generators = list[tuple[int, ...]]
-
 _levels: dict[int, list[list[Graph]]] = {}
-_frontier_gens: dict[int, list[Generators]] = {}  # per class of the last level
-
-
-def _symmetric_group_gens(n: int) -> Generators:
-    """A transposition and an n-cycle: generators of Aut(empty graph)."""
-    if n < 2:
-        return []
-    return [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
-
-
-def _pair_orbit_roots(pairs: list[tuple[int, int]], gens: Generators) -> list[int]:
-    """Orbit roots, as indices into pairs, of the vertex pairs under <gens>;
-    pairs must be closed under the generators."""
-    index = {e: i for i, e in enumerate(pairs)}
-    on_pairs = []
-    for p in gens:
-        images = []
-        for u, v in pairs:
-            a, b = p[u], p[v]
-            images.append(index[(a, b) if a < b else (b, a)])
-        on_pairs.append(images)
-    return _orbit_roots(len(pairs), on_pairs)
-
-
-def _non_edge_orbit_reps(g: Graph, gens: Generators) -> list[tuple[int, int]]:
-    """The lexicographically first non-edge of each orbit of <gens>."""
-    non_edges = g.non_edges()
-    if not gens:
-        return non_edges
-    roots = _pair_orbit_roots(non_edges, gens)
-    return [e for i, e in enumerate(non_edges) if roots[i] == i]
+_frontier_gens: dict[int, list[list[tuple[int, ...]]]] = {}  # Aut generators per class
 
 
 def _top_key_edges(deg: list[int], edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -80,28 +50,23 @@ def _in_canonical_orbit(child: Graph, top: list[tuple[int, int]]) -> bool:
     """Whether top's last edge lies in the Aut(child)-orbit of the
     canonical edge: the edge of top whose pair of canonical labels is
     least.  top must be closed under Aut(child)."""
-    # both calls read the same cached canonical search of child
-    perm = canonical_relabeling(child)
-    _, gens = canonical_form_with_generators(child)
-    labelled = []
-    for a, b in top:
-        a, b = perm[a], perm[b]
-        labelled.append((a, b) if a < b else (b, a))
-    roots = _pair_orbit_roots(labelled, gens)
+    pos, _, autos, _ = _canonical_search(child)
+    labelled = [(pos[a], pos[b]) if pos[a] < pos[b] else (pos[b], pos[a]) for a, b in top]
+    roots = _pair_orbit_roots(top, autos)
     return roots[-1] == roots[labelled.index(min(labelled))]
 
 
 def _extend_levels(n: int, m: int) -> list[list[Graph]]:
     levels = _levels.get(n)
     if levels is None:
-        levels = _levels[n] = [[empty_graph(n)]]
-        _frontier_gens[n] = [_symmetric_group_gens(n)]
+        levels = _levels[n] = [[empty_graph(n)]]  # its own canonical form
+        _frontier_gens[n] = [canonical_form_with_generators(levels[0][0])[1]]
     while len(levels) <= m:
         made = []
         for parent, gens in zip(levels[-1], _frontier_gens[n]):
             degrees = parent.degrees()
             edges = parent.edges()
-            for u, v in _non_edge_orbit_reps(parent, gens):
+            for u, v in _pair_orbit_firsts(parent.non_edges(), gens):
                 deg = list(degrees)
                 deg[u] += 1
                 deg[v] += 1

@@ -8,10 +8,10 @@ real cross-check.  naive_min_edges decides each graph with run_predicate
 (loading predicates, embed and canon), so it checks the sweep, not the
 predicates (ROADMAP item 1).
 
-Intended for n <= 6 (class counting sweeps the whole 2^C(n,2) space) and
-for small minimum-edge reruns driven by edge-subset enumeration.  For
-larger n, level_counts gives the class counts by Burnside's lemma
-without building any graph.
+Class counting sweeps the whole 2^C(n,2) space, so it takes n <=
+MAX_ORACLE_VERTICES = 6; naive_min_edges, a rerun driven by edge-subset
+enumeration, accepts n <= 7.  For larger n, level_counts gives the class
+counts by Burnside's lemma without building any graph.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -18,6 +19,20 @@ from domsat import (
     path_graph,
     star_graph,
 )
+
+
+def brute_pair_firsts(g, pairs, ordered):
+    """The first pair, in the order given, of each orbit of Aut(g) on pairs
+    (arcs when ordered, else unordered pairs), Aut(g) found by trying all
+    n! permutations."""
+    autos = [p for p in permutations(range(g.n)) if g.relabel(p) == g]
+    key = tuple if ordered else frozenset
+    seen, firsts = set(), []
+    for u, v in pairs:
+        if key((u, v)) not in seen:
+            firsts.append((u, v))
+            seen.update(key((p[u], p[v])) for p in autos)
+    return firsts
 
 
 def run_python(*args: str, env_extra=None, stdin=None) -> subprocess.CompletedProcess:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import brute_pair_firsts, graphs
 from domsat import (
     are_isomorphic,
     automorphism_order,
@@ -22,6 +22,7 @@ from domsat import (
 from domsat.canon import (
     _canonical_search,
     _orbit_roots,
+    _pair_orbit_firsts,
     canonical_form_with_generators,
     canonical_relabeling,
 )
@@ -59,6 +60,18 @@ def test_generators_reach_whole_orbits():
     centre = c.degrees().index(5)
     orbits = _orbit_roots(c.n, gens)
     assert len({orbits[v] for v in range(c.n) if v != centre}) == 1
+
+
+def test_non_edge_orbits_match_brute_force():
+    # every class on at most 6 vertices, as enumerated and relabelled
+    rnd = random.Random(6)
+    for n in range(1, 7):
+        for g in all_classes(n):
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            for h in (g, g.relabel(perm)):
+                got = _pair_orbit_firsts(h.non_edges(), _canonical_search(h)[2])
+                assert got == brute_pair_firsts(h, h.non_edges(), ordered=False), h
 
 
 @given(graphs(max_n=7))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import brute_pair_firsts, graphs
 from domsat import (
     complete_graph,
     copy_through_edge,
@@ -21,6 +21,7 @@ from domsat import (
     star_graph,
 )
 from domsat import embed
+from domsat.canon import _canonical_search, _pair_orbit_firsts
 from domsat.embed import _Host, _mapping, _plan, _search, _search_order
 
 # the pool patterns, then asymmetric and disconnected ones: 2K2, paw,
@@ -229,15 +230,12 @@ def test_anchored_probes_find_the_reference_mapping(host):
 
 
 def test_one_anchor_per_arc_orbit():
+    # the first arc of each Aut-orbit on arcs, Aut found over all n! maps
     for pattern in ANCHOR_PATTERNS:
-        edges = set(pattern.edges())
-        arcs = {arc for a, b in edges for arc in ((a, b), (b, a))}
-        auts = [
-            p for p in permutations(range(pattern.n))
-            if {tuple(sorted((p[a], p[b]))) for a, b in edges} == edges
-        ]
-        orbits = {frozenset((p[x], p[y]) for p in auts) for x, y in arcs}
-        assert len(_plan(pattern).anchors) == len(orbits), pattern
+        arcs = [arc for a, b in pattern.edges() for arc in ((a, b), (b, a))]
+        firsts = _pair_orbit_firsts(arcs, _canonical_search(pattern)[2])
+        assert firsts == brute_pair_firsts(pattern, arcs, ordered=True), pattern
+        assert [order[:2] for _, _, order, _ in _plan(pattern).anchors] == firsts
 
 
 def test_count_stops_early_below_the_pattern_edge_count(monkeypatch):

@@ -3,6 +3,7 @@ imports, and the demos."""
 
 import ast
 import importlib
+import re
 import sys
 
 import pytest
@@ -203,6 +204,15 @@ def test_no_module_imports_dataclasses():
 def test_one_module_names_the_json_schema():
     naming = [p.name for p in (SRC / "domsat").glob("*.py") if "domsat/1" in p.read_text()]
     assert naming == ["_json.py"]
+
+
+def test_one_module_computes_orbits():
+    sources = {p.name: p.read_text() for p in (SRC / "domsat").glob("*.py")}
+    for name in ("_orbit_roots", "_pair_orbit_roots"):
+        defining = [m for m, text in sources.items() if f"def {name}(" in text]
+        assert defining == ["canon.py"], name
+    naming = [m for m, text in sources.items() if re.search(r"\b_orbit_roots\b", text)]
+    assert naming == ["canon.py"]
 
 
 # -- the demos -------------------------------------------------------------------

@@ -399,7 +399,7 @@ def test_lemma_path_search_matches_vertex_sequences():
     # every sequence of j distinct vertices of t-u-v, consecutive ones
     # adjacent, the first in N(u) | N(v)
     from domsat.enumeration import enumerate_trees
-    from domsat.verify import _exists_path_from
+    from domsat.verify import _exists_path_from, _recheck_pair
 
     for order in range(1, 8):
         for t in enumerate_trees(order):
@@ -414,4 +414,4 @@ def test_lemma_path_search_matches_vertex_sequences():
                         for seq in permutations(rest, j)
                     )
                     assert _exists_path_from(t, alive, starts, j) == want, (t, u, v, j)
-                    assert tree_witness_ok(t, j, u, v) == (not want)
+                    assert tree_witness_ok(t, j, u, v) == _recheck_pair(t, j, u, v) == (not want)

@@ -33,6 +33,15 @@ def test_dom_sat_minimums():
         assert min_edges(K2, n, "dom-sat").min_edges == 1
 
 
+def test_p4_minima_need_not_grow_with_n():
+    # sat(n, P4) is n/2 or (n+3)/2 by parity (Kaszonyi and Tuza 1986)
+    rows = {
+        predicate: [min_edges(path_graph(4), n, predicate).min_edges for n in range(4, 9)]
+        for predicate in ("saturated", "semi-saturated")
+    }
+    assert rows == {"saturated": [2, 4, 3, 5, 4], "semi-saturated": [2, 3, 3, 5, 4]}
+
+
 def test_saturated_minimum_matches_formula():
     r = min_edges(K3, 5, "saturated")
     assert r.min_edges == 4
@@ -183,3 +192,14 @@ def test_lemma_suite_reports():
             ("tree-lemma-j3", True, "46 trees, 6 stars"),
         ),
     )
+
+
+def test_lemma_suite_recheck_catches_a_broken_path_search(monkeypatch):
+    # with every path search answering "no path", the first non-edge of
+    # each tree is chosen; the recheck walks paths by itself and refuses it
+    from domsat import verify
+
+    monkeypatch.setattr(verify, "_exists_path_from", lambda *args: False)
+    checks = verify.suite_lemma_trees().checks
+    assert not any(check.passed for check in checks)
+    assert all("failed recheck" in check.detail for check in checks)
