@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from ._json import plain, record
 from .constructions import _clique_pair, bridge_pair_order, neighborhood_scan
-from .graphs import Graph, bridges, component_graphs, disjoint_union, is_star
+from .graphs import MAX_VERTICES, Graph, bridges, component_graphs, disjoint_union, is_star
 from .predicates import _require_pattern, is_dom_sat
 
 
@@ -171,7 +171,7 @@ def _certified_pair_order(f: Graph) -> tuple[int | None, int | None]:
     if stated is None:
         return None, None
     for r in range(stated, f.n + 1):
-        if 4 * r > 64:
+        if 4 * r > MAX_VERTICES:
             break
         pair = _clique_pair(r)
         if is_dom_sat(disjoint_union([pair, pair]), f).verdict:

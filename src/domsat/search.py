@@ -7,9 +7,9 @@ edge (the domination theory's blanket assumption, without which the
 empty graph passes vacuously); the classical saturation variants admit
 the empty graph, e.g. every graph is weakly K_2-saturated.
 
-Pruning only ever applies necessary degree conditions; the level sweep
-itself is never truncated, and a pruning-off mode exists so soundness
-can be checked by comparison.
+The degree floor only ever applies necessary degree conditions and the
+level sweep itself is never truncated; tests/test_search.py checks the
+floor against an unpruned sweep.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._json import record
-from .canon import canonical_form
+from .canon import canonical_graph6
 from .enumeration import MAX_ENUM_VERTICES, enumerate_graphs
 from .graph6 import graph6_encode
 from .graphs import Graph, component_graphs
@@ -151,39 +151,31 @@ def min_edges(
     n: int,
     predicate: str,
     *,
-    prune: bool = True,
     max_n: int = DEFAULT_MAX_N,
 ) -> SearchResult:
     """Least edge count of an n-vertex graph satisfying the predicate.
 
-    Exhaustive over isomorphism classes with at least one edge, level by
-    level; witnesses are every passing class at the minimum, as sorted
-    canonical graph6 strings.  There is no result store: every returned
-    minimum is certified by the sweep run in this call.
+    Exhaustive over isomorphism classes, level by level upward from the
+    degree floor (dom-sat hosts have an edge); witnesses are every passing
+    class at the minimum, as sorted canonical graph6 strings.  There is no
+    result store: every returned minimum is certified by this call's sweep.
     """
     predicate = _normalize_predicate(predicate)
     _check_order(pattern, n, max_n)
 
-    pattern_g6 = graph6_encode(canonical_form(pattern))
     info = _pattern_info(pattern)
     pred_fn = PREDICATES[predicate]
     examined = 0
-    base = 1 if predicate == "dom-sat" else 0
-    start = max(base, _sweep_start(n, info, predicate)) if prune else base
-    top = n * (n - 1) // 2
 
-    for m in range(start, top + 1):
+    for m in range(_sweep_start(n, info, predicate), n * (n - 1) // 2 + 1):
         classes = list(enumerate_graphs(n, m))
         examined += len(classes)
-        candidates = (
-            [g for g in classes if _passes_floor(g, info, predicate)]
-            if prune
-            else classes
-        )
-        winners = [g for g in candidates if pred_fn(g, pattern).verdict]
+        winners = [
+            g for g in classes if _passes_floor(g, info, predicate) and pred_fn(g, pattern).verdict
+        ]
         if winners:
             return SearchResult(
-                pattern=pattern_g6,
+                pattern=canonical_graph6(pattern),
                 n=n,
                 predicate=predicate,
                 min_edges=m,
@@ -215,6 +207,5 @@ def density_profile(
     for n in range(pattern.n, n_max + 1):
         res = min_edges(pattern, n, predicate, max_n=max_n)
         rows.append((n, res.min_edges, Fraction(res.min_edges, n)))
-    pattern_g6 = graph6_encode(canonical_form(pattern))
-    return DensityProfile(pattern_g6, predicate, tuple(rows))
+    return DensityProfile(res.pattern, predicate, tuple(rows))
 

@@ -202,9 +202,11 @@ def _exists_path_from(g: Graph, alive: int, starts: int, j: int) -> bool:
 def tree_witness_ok(t: Graph, j: int, u: int, v: int) -> bool:
     """Does the pair (u, v) satisfy the tree lemma for t and j?
 
-    u, v distinct and non-adjacent, and t-u-v has no j-vertex path with
-    an endpoint in N(u) | N(v).
+    u, v distinct non-adjacent vertices of t (any other pair is refused),
+    and t-u-v has no j-vertex path with an endpoint in N(u) | N(v).
     """
+    if any(type(x) is not int or not 0 <= x < t.n for x in (u, v)):
+        return False
     if u == v or t.has_edge(u, v):
         return False
     alive = t.vertex_mask & ~(1 << u) & ~(1 << v)

@@ -182,6 +182,65 @@ def test_bounds_json():
     assert any(b["source"] == "bridge-pairs" for b in data["upper"])
 
 
+BOUNDS_CS_TEXT = """\
+lower: 1/2 (min-degree-half)
+upper: 5/2 (clique-upper)
+upper: 3/2 (bridge-blocks)
+upper: 13/8 (bridge-pairs)
+upper: 2 (neighborhood)
+upper: 3/2 (cut-pair)
+upper: 6/5 (star-family-construction)
+upper: 29/20 (star-family-stated)
+best-lower: 1/2
+best-upper: 6/5
+note: bridge-pairs witness with clique order 3 fails its predicate for this pattern; smallest certifying order is 4
+note: star-family upper candidates disagree: the stated constant exceeds the witness density; both are recorded
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, stdout, stderr",
+    [
+        ("bounds --pattern Cs", BOUNDS_CS_TEXT, ""),
+        (
+            "construct --family near-matching --k 5 --json",
+            '{"certified": null, "claim": null, "family": "near-matching", '
+            '"graphs": ["DwC"], "schema": "domsat/1"}\n',
+            "",
+        ),
+        (
+            "construct --family near-matching --k 4 --certify",
+            "C`\n",
+            "nothing to certify for this family\n",
+        ),
+        (
+            "profile --pattern Bw --n-max 5 --json",
+            '{"pattern": "Bw", "predicate": "dom-sat", "rows": ['
+            '{"density": {"den": 1, "num": 1}, "min_edges": 3, "n": 3}, '
+            '{"density": {"den": 4, "num": 5}, "min_edges": 5, "n": 4}, '
+            '{"density": {"den": 5, "num": 6}, "min_edges": 6, "n": 5}], '
+            '"schema": "domsat/1", "trend": {"density_non_decreasing": false, '
+            '"first_density": {"den": 1, "num": 1}, "last_density": {"den": 5, "num": 6}, '
+            '"min_edges_non_decreasing": true}}\n',
+            "",
+        ),
+        (
+            "verify --suite lemma-trees --json",
+            '{"checks": [{"detail": "6 trees, 3 stars", "label": "tree-lemma-j2", "passed": true}, '
+            '{"detail": "46 trees, 6 stars", "label": "tree-lemma-j3", "passed": true}], '
+            '"passed": true, "schema": "domsat/1", "suite": "lemma-trees"}\n',
+            "",
+        ),
+    ],
+    ids=["bounds-text", "construct-json", "certify-no-claim", "profile-json", "verify-json"],
+)
+def test_output_paths_are_pinned(argv, stdout, stderr, capsys):
+    from domsat import cli
+
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr() == (stdout, stderr)
+
+
 def test_profile_table():
     out = run_cli("profile", "--pattern", "Bw", "--n-max", "5")
     assert out.returncode == 0

@@ -3,6 +3,7 @@ imports, and the demos."""
 
 import ast
 import importlib
+import inspect
 import re
 import sys
 
@@ -70,6 +71,25 @@ def test_all_is_the_pinned_surface():
     assert set(pinned) <= set(dir(domsat))
 
 
+def test_search_takes_no_mode_option():
+    # max_n is the only keyword option; a test-only sweep mode stays out
+    for fn in (domsat.min_edges, domsat.density_profile):
+        params = inspect.signature(fn).parameters.values()
+        assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == ["max_n"], fn.__name__
+
+
+def test_vertex_limit_is_named_not_written():
+    # graphs.MAX_VERTICES is the one place the 64-vertex limit is a number
+    offenders = []
+    for path in sorted((SRC / "domsat").glob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and type(node.value) is int and node.value == 64:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_each_name_is_its_submodule_object():
     for module, names in EXPORTS.items():
         sub = importlib.import_module(f"domsat.{module}")
@@ -126,13 +146,17 @@ K3, K40, K30 = (domsat.complete_graph(n) for n in (3, 40, 30))
         lambda: domsat.known_density("star", r=1),
         lambda: domsat.known_density("star_plus", s=3),
         lambda: domsat.known_density("kt_path_sat", r=2),
+        lambda: domsat.class_count(4, 7),
+        lambda: domsat.class_count(11, 0),
+        lambda: domsat.class_count(4, -1),
     ],
     ids=[
         "subgraph-empty", "cycle-2", "star-0", "join-past-64", "union-past-64",
         "union-empty", "edge-connectivity-negative", "gadget-loop-0", "scan-edgeless",
         "oracle-sweep-7", "level-counts-0", "naive-sweep-8", "upper-edges-n-below-r",
         "star-candidates-1", "path-density-2", "cycle-density-3", "star-density-1",
-        "star-plus-density-3", "kt-path-density-2",
+        "star-plus-density-3", "kt-path-density-2", "class-count-m-7", "class-count-n-11",
+        "class-count-m-negative",
     ],
 )
 def test_documented_input_errors_are_value_errors(call):

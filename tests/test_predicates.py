@@ -381,6 +381,11 @@ def test_lemma_rejects_bad_inputs():
         lemma_tree_witness(path_graph(2), 4)  # below the lemma range
 
 
+@pytest.mark.parametrize("pair", [(0, 9), (9, 0), (0, -1), (-1, 3), (0, 5), (2, 2), (0, 2.0), (True, 3)])
+def test_tree_witness_ok_refuses_pairs_outside_the_tree(pair):
+    assert tree_witness_ok(path_graph(5), 2, *pair) is False
+
+
 def test_lemma_fourteen_vertex_spider():
     # two adjacent centers, three 2-vertex legs each: 14 vertices, j = 5
     edges = [(0, 1)]

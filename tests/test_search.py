@@ -8,7 +8,9 @@ from domsat import (
     are_isomorphic,
     complete_graph,
     density_profile,
+    enumerate_graphs,
     graph6_decode,
+    graph6_encode,
     is_dominated,
     min_edges,
     path_graph,
@@ -83,11 +85,15 @@ def test_density_profile_checks_n_max_before_sweeping(monkeypatch):
 @pytest.mark.parametrize("predicate", ["saturated", "semi-saturated", "dom-sat", "weakly-saturated"])
 @pytest.mark.parametrize("pattern", ["K3", "P3", "P4", "K1,3"])
 def test_pruning_is_sound(pattern, predicate, pool):
+    # reference: the same level sweep with no degree floor and no sweep start
     f = pool[pattern]
     for n in range(f.n, 7):
-        pruned = min_edges(f, n, predicate, prune=True)
-        full = min_edges(f, n, predicate, prune=False)
-        assert (pruned.min_edges, pruned.witnesses) == (full.min_edges, full.witnesses)
+        for m in range(1 if predicate == "dom-sat" else 0, n * (n - 1) // 2 + 1):
+            passing = [g for g in enumerate_graphs(n, m) if run_predicate(predicate, g, f).verdict]
+            if passing:
+                break
+        res = min_edges(f, n, predicate)
+        assert (res.min_edges, res.witnesses) == (m, tuple(sorted(map(graph6_encode, passing))))
 
 
 def test_witness_degree_facts(pool):
