@@ -14,7 +14,7 @@ from math import comb
 from typing import NamedTuple
 
 from ._json import plain, record
-from .constructions import _clique_pair, bridge_pair_order, neighborhood_scan
+from .constructions import _clique_pair, _neighborhood_matched, bridge_pair_order, neighborhood_scan
 from .graphs import MAX_VERTICES, Graph, bridges, component_graphs, disjoint_union, is_star
 from .predicates import _require_pattern, is_dom_sat
 
@@ -229,10 +229,10 @@ def structural_bounds(f: Graph) -> BoundSet:
                 f"{certified_r}"
             )
 
-    # k >= delta - 1 on every edge, so k + 1/2 [delta = k + 1] is least at
-    # the least k
+    # k + 1 >= the least positive degree on every edge, and a half is added
+    # only when they are equal, so k + 1/2 [matched] is least at the least k
     k, _ = neighborhood_scan(f)
-    half = Fraction(1, 2) if f.min_degree() == k + 1 else 0
+    half = Fraction(1, 2) if _neighborhood_matched(f, k) else 0
     upper.append(Bound(Fraction(k) + half, "neighborhood"))
 
     cp = _cut_pair_bound(f)

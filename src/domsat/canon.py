@@ -25,12 +25,18 @@ searched, so the least leaf and the orbit argument are unchanged.
 canonical_form_with_generators hands the generators to enumeration,
 relabeled onto the canonical form.  _pair_orbit_roots applies them to
 vertex pairs: enumeration's non-edge orbits and canonical-edge test and
-embed's one anchor arc per orbit all call it.
+embed's one anchor arc per orbit all call it.  _base_orbits gives the
+path with each v_k's orbit under its prefix's stabilizer:
+automorphism_order multiplies their sizes, and embed turns them into
+the order constraints that count each copy of a pattern once (Grochow
+and Kellis, "Network motif discovery using subgraph enumeration and
+symmetry-breaking", RECOMB 2007).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from typing import Sequence
 
 from .graph6 import graph6_encode
@@ -222,15 +228,22 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return g.n == h.n and canonical_form(g) == canonical_form(h)
 
 
-def automorphism_order(g: Graph) -> int:
-    """|Aut(g)|: the product, along the search's path v_1..v_d, of the
-    orbit size of v_k under the found automorphisms fixing v_1..v_{k-1}."""
+def _base_orbits(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The search's path v_1..v_d, each v_k with its orbit under the found
+    automorphisms fixing v_1..v_{k-1}, which is its orbit under the
+    stabilizer of v_1..v_{k-1} in Aut(g)."""
     _, _, gens, path = _canonical_search(g)
-    order = 1
+    out = []
     for v in path:
-        if not gens:
-            break
-        roots = _orbit_roots(g.n, gens)
-        order *= roots.count(roots[v])
-        gens = tuple(p for p in gens if p[v] == v)
-    return order
+        if gens:
+            roots = _orbit_roots(g.n, gens)
+            out.append((v, tuple(w for w in range(g.n) if roots[w] == roots[v])))
+            gens = tuple(p for p in gens if p[v] == v)
+        else:
+            out.append((v, (v,)))
+    return tuple(out)
+
+
+def automorphism_order(g: Graph) -> int:
+    """|Aut(g)|: the product of the base orbits' sizes."""
+    return prod(len(orbit) for _, orbit in _base_orbits(g))

@@ -228,14 +228,25 @@ def neighborhood_scan(f: Graph) -> tuple[int, tuple[int, int]]:
     return best_k, best_edge
 
 
+def _neighborhood_matched(f: Graph, k: int) -> bool:
+    """Does the neighborhood family for f, with k from neighborhood_scan,
+    match its outside vertices?  Yes when f's minimum degree is k + 1,
+    or when k >= 1 and f's least positive degree is k + 1: an isolated
+    pattern vertex lands on any spare vertex, so it must not decide."""
+    degs = f.degrees()
+    return min(degs) == k + 1 or (k >= 1 and min(d for d in degs if d) == k + 1)
+
+
 def neighborhood_family(f: Graph, n: int, pad: bool = False) -> Graph:
     """Clique on f's order with k nose vertices joined to everything.
 
     Vertices 0..|f|-1 form the clique; vertices |f|..n-1 are each joined
     to the k designated clique vertices 0..k-1.  When the pattern's
-    minimum degree equals k+1 the outside vertices also carry
-    near_matching(n - |f|), shifted by |f|: consecutive pairs, and with
-    pad a triangle on the first three when the outside count is odd.
+    minimum degree equals k+1, or k >= 1 and its least positive degree
+    equals k+1 (isolated pattern vertices aside), the outside vertices
+    also carry near_matching(n - |f|), shifted by |f|: consecutive
+    pairs, and with pad a triangle on the first three when the outside
+    count is odd.
     """
     k, _ = neighborhood_scan(f)
     if n <= f.n:
@@ -243,7 +254,7 @@ def neighborhood_family(f: Graph, n: int, pad: bool = False) -> Graph:
     outside = n - f.n
     edges = [(u, v) for u in range(f.n) for v in range(u + 1, f.n)]
     edges += [(c, f.n + i) for c in range(k) for i in range(outside)]
-    if f.min_degree() == k + 1:
+    if _neighborhood_matched(f, k):
         if outside % 2:
             if not pad:
                 raise ConstructionError(

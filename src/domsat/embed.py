@@ -2,9 +2,10 @@
 
 An embedding maps pattern vertices injectively into a host so that every
 pattern edge lands on a host edge (non-induced semantics: extra host
-edges among image vertices are fine).  This kernel powers every
-saturation predicate: existence, existence through a prescribed host
-edge, and exact copy counting.
+edges among image vertices are fine).  Two kernels share one search
+order: _search decides existence, which every saturation predicate and
+the anchored probes ask, and _count counts, placing every pattern
+vertex but the last and adding up the last one's candidates.
 
 One set-up serves unanchored, anchored and counting questions: a _Host
 copies a host's rows, counts its degrees and builds its degree masks
@@ -19,15 +20,21 @@ routine finds it (McKay and Piperno 2014).  The vertices placed after
 the anchor avoid u and v, so adding uv changes only the anchor's degree
 test: "through uv once added" runs the same search with deg u + 1 and
 deg v + 1 and leaves the host as it is.
+
+Copies are counted once each, not as embeddings divided by |Aut|
+(Grochow and Kellis, RECOMB 2007).  Along canon's base v_1..v_d of
+the pattern, each v_k must map below every other vertex of its orbit
+under the stabilizer of v_1..v_{k-1}; of the |Aut| embeddings onto one
+copy exactly one does.  The counting kernel applies each constraint as
+a bit-range mask on the candidates.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import inf
 from typing import NamedTuple
 
-from .canon import _canonical_search, _pair_orbit_firsts, automorphism_order
+from .canon import _base_orbits, _canonical_search, _pair_orbit_firsts
 from .graphs import Graph
 
 
@@ -64,8 +71,14 @@ def _search_order(
 class _Plan(NamedTuple):
     """Per-pattern set-up, shared by every host the pattern meets.
 
-    (order, back) is the unanchored search order.  anchors holds, for
-    the first arc (x, y) of each Aut-orbit on arcs, (deg x, deg y,
+    (order, back) is the unanchored search order.  above and below hold,
+    at each position i of that order, the earlier positions j whose
+    image must lie below, respectively above, image i: for each base
+    point v_k of the pattern's canonical search and each other vertex w
+    in its orbit under the stabilizer of v_1..v_{k-1}, image(v_k) <
+    image(w), kept at whichever of the two comes later in the order.
+    Exactly one embedding of each copy meets them all.  anchors holds,
+    for the first arc (x, y) of each Aut-orbit on arcs, (deg x, deg y,
     order, back) with the search order prefixed by (x, y); arcs are
     taken edge by edge in edges() order, (a, b) before (b, a).  Arcs of
     one orbit succeed or fail together, so the first arc to succeed is
@@ -81,6 +94,8 @@ class _Plan(NamedTuple):
     edge_count: int
     order: tuple[int, ...]
     back: tuple[tuple[int, ...], ...]
+    above: tuple[tuple[int, ...], ...]
+    below: tuple[tuple[int, ...], ...]
     anchors: tuple
     of_degree: dict[int, tuple[int, ...]]
 
@@ -88,13 +103,27 @@ class _Plan(NamedTuple):
 @lru_cache(maxsize=1024)
 def _plan(pattern: Graph) -> _Plan:
     degs = pattern.degrees()
+    order, back = _search_order(pattern)
+    at = {pv: i for i, pv in enumerate(order)}
+    above: list[list[int]] = [[] for _ in order]
+    below: list[list[int]] = [[] for _ in order]
+    for v, orbit in _base_orbits(pattern):
+        for w in orbit:
+            i, j = at[v], at[w]
+            if i < j:
+                above[j].append(i)
+            elif j < i:
+                below[i].append(j)
     arcs = [arc for a, b in pattern.edges() for arc in ((a, b), (b, a))]
     anchors = tuple(
         (degs[x], degs[y], *_search_order(pattern, (x, y)))
         for x, y in _pair_orbit_firsts(arcs, _canonical_search(pattern)[2])
     )
     of_degree = {d: tuple(pv for pv in range(pattern.n) if degs[pv] == d) for d in set(degs)}
-    return _Plan(degs, pattern.edge_count, *_search_order(pattern), anchors, of_degree)
+    return _Plan(
+        degs, pattern.edge_count, order, back,
+        tuple(map(tuple, above)), tuple(map(tuple, below)), anchors, of_degree,
+    )
 
 
 def is_valid_embedding(pattern: Graph, host: Graph, mapping: tuple[int, ...]) -> bool:
@@ -117,28 +146,58 @@ def _search(
     image: list[int],
     depth: int,
     used: int,
-    limit: float,
-) -> int:
-    """Count embeddings extending image[:depth], stopping at limit.
+) -> bool:
+    """Is there an embedding extending image[:depth]?
 
     image[i] is the host vertex of pattern vertex order[i] and used is
-    the bitmask of those host vertices.  When the count reaches limit,
-    image holds the embedding that reached it.
+    the bitmask of those host vertices.  On success image holds the
+    first embedding found.
     """
     if depth == len(order):
-        return 1
+        return True
     mask = deg_ok[order[depth]] & ~used
     for j in back[depth]:
         mask &= rows[image[j]]
         if not mask:
-            return 0
+            return False
+    while mask:
+        low = mask & -mask
+        image[depth] = low.bit_length() - 1
+        if _search(rows, order, back, deg_ok, image, depth + 1, used | low):
+            return True
+        mask ^= low
+    return False
+
+
+def _count(
+    rows: tuple[int, ...],
+    order: tuple[int, ...],
+    back: tuple[tuple[int, ...], ...],
+    above: tuple[tuple[int, ...], ...],
+    below: tuple[tuple[int, ...], ...],
+    deg_ok: tuple[int, ...],
+    image: list[int],
+    depth: int,
+    used: int,
+) -> int:
+    """Embeddings extending image[:depth] (depth < len(order)) whose
+    image at each position i lies above image j for j in above[i] and
+    below image j for j in below[i]; the last position is counted, not
+    placed."""
+    mask = deg_ok[order[depth]] & ~used
+    for j in back[depth]:
+        mask &= rows[image[j]]
+    for j in above[depth]:
+        mask &= -(2 << image[j])
+    for j in below[depth]:
+        mask &= (1 << image[j]) - 1
+    if depth + 1 == len(order):
+        return mask.bit_count()
     found = 0
     while mask:
         low = mask & -mask
         image[depth] = low.bit_length() - 1
-        found += _search(rows, order, back, deg_ok, image, depth + 1, used | low, limit - found)
-        if found >= limit:
-            return found
+        found += _count(rows, order, back, above, below, deg_ok, image, depth + 1, used | low)
         mask ^= low
     return found
 
@@ -153,15 +212,16 @@ def _mapping(order: tuple[int, ...], image: list[int]) -> tuple[int, ...]:
 class _Host:
     """One host set up for many questions about one pattern.
 
-    first and count run the unanchored search; through_edge(u, v) asks
-    for a copy through host edge uv, and through_added(u, v) for one
-    through non-edge uv once added, trying one anchor per arc orbit of
-    the pattern.  through_added touches nothing: the vertices placed
-    after the anchor avoid u and v, so only the anchor's degree test
-    sees the new edge.  add commits an edge to the host's own copy of
-    the rows, keeping the degrees and degree masks in step.  No Graph is
-    built and no argument is validated: callers pass pairs of distinct
-    vertices.
+    first and count run the unanchored search, count with or without
+    the order constraints that keep one embedding per copy;
+    through_edge(u, v) asks for a copy through host edge uv, and
+    through_added(u, v) for one through non-edge uv once added, trying
+    one anchor per arc orbit of the pattern.  through_added touches
+    nothing: the vertices placed after the anchor avoid u and v, so only
+    the anchor's degree test sees the new edge.  add commits an edge to
+    the host's own copy of the rows, keeping the degrees and degree
+    masks in step.  No Graph is built and no argument is validated:
+    callers pass pairs of distinct vertices.
     """
 
     __slots__ = ("plan", "anchors", "rows", "degs", "deg_ok", "image")
@@ -180,19 +240,32 @@ class _Host:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
-    def count(self, limit: float = inf) -> int:
-        """Embeddings of the pattern into the host, stopping at limit."""
-        plan, degs, deg_ok = self.plan, self.degs, self.deg_ok
-        # none when the pattern has more vertices or edges, or a degree no vertex meets
-        if len(plan.order) > len(degs) or plan.edge_count > sum(degs) // 2 or not all(deg_ok):
-            return 0
-        return _search(self.rows, plan.order, plan.back, deg_ok, self.image, 0, 0, limit)
+    def _may_embed(self) -> bool:
+        """False when the pattern has more vertices or edges than the
+        host, or a degree no host vertex meets."""
+        plan, degs = self.plan, self.degs
+        return (
+            len(plan.order) <= len(degs)
+            and plan.edge_count <= sum(degs) // 2
+            and all(self.deg_ok)
+        )
 
     def first(self) -> tuple[int, ...] | None:
         """The first embedding in search order, or None."""
-        if self.count(1):
-            return _mapping(self.plan.order, self.image)
+        plan, image = self.plan, self.image
+        if self._may_embed() and _search(self.rows, plan.order, plan.back, self.deg_ok, image, 0, 0):
+            return _mapping(plan.order, image)
         return None
+
+    def count(self, copies: bool = False) -> int:
+        """Embeddings of the pattern into the host; with copies, only
+        those meeting the plan's order constraints, one per copy."""
+        plan = self.plan
+        if not self._may_embed():
+            return 0
+        free = ((),) * len(plan.order)
+        above, below = (plan.above, plan.below) if copies else (free, free)
+        return _count(self.rows, plan.order, plan.back, above, below, self.deg_ok, self.image, 0, 0)
 
     def _through(self, u: int, v: int, du: int, dv: int) -> tuple[int, ...] | None:
         """First copy mapping an anchor arc onto uv when u and v have
@@ -204,7 +277,7 @@ class _Host:
             if dx > du or dy > dv:
                 continue
             image[0], image[1] = u, v
-            if _search(rows, order, back, deg_ok, image, 2, used, 1):
+            if _search(rows, order, back, deg_ok, image, 2, used):
                 return _mapping(order, image)
         return None
 
@@ -258,15 +331,10 @@ def count_embeddings(pattern: Graph, host: Graph) -> int:
 def count_copies(pattern: Graph, host: Graph) -> int:
     """Number of distinct subgraphs of host isomorphic to pattern.
 
-    Computed as embeddings / |Aut(pattern)|, which identifies copies by
-    their vertex-and-edge image; for patterns without isolated vertices
-    this coincides with counting distinct edge sets.
+    Each copy is counted once, by the one embedding onto it that meets
+    the order constraints drawn from the pattern's base orbits (see
+    _Plan), so it equals embeddings / |Aut(pattern)|.  Copies are told
+    apart by their vertex-and-edge image; for patterns without isolated
+    vertices this coincides with counting distinct edge sets.
     """
-    emb = count_embeddings(pattern, host)
-    if emb == 0:
-        return 0
-    aut = automorphism_order(pattern)
-    copies, rem = divmod(emb, aut)
-    if rem:
-        raise AssertionError("embedding count not divisible by automorphism order")
-    return copies
+    return _Host(pattern, host).count(copies=True)

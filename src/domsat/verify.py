@@ -17,19 +17,24 @@ from typing import Callable, NamedTuple
 
 from .bounds import dsat_clique_upper_edges, sat_clique
 from .constructions import (
+    bridge_family,
+    bridge_pair_order,
     cycle_gadget,
     cycle_gadget_layout,
     dom_turan,
+    neighborhood_family,
     path_component_size,
     path_family,
     star_family,
     star_plus_pair,
+    turan,
 )
 from .embed import _search
 from .enumeration import all_classes, enumerate_trees
 from .graph6 import graph6_encode
 from .graphs import (
     Graph,
+    bridges,
     complete_graph,
     component_graphs,
     cycle_graph,
@@ -41,7 +46,7 @@ from .graphs import (
     path_graph,
     star_graph,
 )
-from .predicates import is_dom_sat, is_dominated, is_semi_saturated
+from .predicates import is_dom_sat, is_dominated, is_saturated, is_semi_saturated
 from .search import min_edges
 
 
@@ -196,7 +201,7 @@ def _exists_path_from(g: Graph, alive: int, starts: int, j: int) -> bool:
         return False
     back = ((),) + tuple((i - 1,) for i in range(1, j))
     masks = (starts & alive,) + (alive,) * (j - 1)
-    return bool(_search(g.rows, tuple(range(j)), back, masks, [0] * j, 0, 0, 1))
+    return _search(g.rows, tuple(range(j)), back, masks, [0] * j, 0, 0)
 
 
 def tree_witness_ok(t: Graph, j: int, u: int, v: int) -> bool:
@@ -275,17 +280,18 @@ def suite_lemma_trees() -> SuiteResult:
 
 
 def suite_constructions() -> SuiteResult:
-    """Certify the dom-turan, path, cycle-gadget, star and star-plus
-    families against their claimed predicates, and run the cycle gadget's
-    negative control: overlong loops must break semi-saturation."""
-    turan = []
+    """Certify every family with a claim in the CLI's family table
+    (dom-turan, path, cycle-gadget, star, star-plus, turan, bridge and
+    neighborhood) against it, and run the cycle gadget's negative
+    control: overlong loops must break semi-saturation."""
+    turan_dom = []
     for r in range(3, 7):
         for n in range(r, 21):
             g = dom_turan(n, r)
             if g.edge_count != dsat_clique_upper_edges(n, r):
-                turan.append(f"edge count off at (n={n}, r={r})")
+                turan_dom.append(f"edge count off at (n={n}, r={r})")
             elif not is_dom_sat(g, complete_graph(r)).verdict:
-                turan.append(f"not dom-sat at (n={n}, r={r})")
+                turan_dom.append(f"not dom-sat at (n={n}, r={r})")
 
     path = []
     for r in (3, 4, 5, 6, 7):
@@ -333,15 +339,44 @@ def suite_constructions() -> SuiteResult:
         elif not is_dom_sat(disjoint_union([h_s, h_s]), g_s).verdict:
             star_plus.append(f"blocks not dom-sat at s={s}")
 
+    turan_sat = [
+        f"not saturated at (n={n}, r={r})"
+        for r in range(1, 6)
+        for n in range(r, 13)
+        if not is_saturated(turan(n, r), complete_graph(r + 1)).verdict
+    ]
+
+    # a pattern with a bridge meets both forms: the clique pairs at the
+    # least multiple of 2r from |f| on, when they certify, and the
+    # clique blocks at |f| + 1
+    patterns = [f for order in range(2, 6) for f in all_classes(order) if f.edge_count]
+    bridge = []
+    for f in filter(bridges, patterns):
+        pair = 2 * bridge_pair_order(f)
+        for n in sorted({-(-f.n // pair) * pair, f.n + 1}):
+            if not is_dom_sat(bridge_family(f, n), f).verdict:
+                bridge.append(f"not dom-sat for {graph6_encode(f)} at n={n}")
+
+    # an even and an odd outside count, so the matched variant pads once
+    neighborhood = [
+        f"not dom-sat for {graph6_encode(f)} at n={n}"
+        for f in patterns
+        for n in (f.n + 2, f.n + 3)
+        if not is_dom_sat(neighborhood_family(f, n, pad=True), f).verdict
+    ]
+
     return SuiteResult(
         "constructions",
         (
-            _check("dom-turan-certified", turan),
+            _check("dom-turan-certified", turan_dom),
             _check("path-family-certified", path),
             _check("cycle-gadget-certified", cycle),
             _check("cycle-negative-control", negative),
             _check("star-family-certified", star),
             _check("star-plus-certified", star_plus),
+            _check("turan-saturated", turan_sat),
+            _check("bridge-family-certified", bridge),
+            _check("neighborhood-family-certified", neighborhood),
         ),
     )
 

@@ -143,15 +143,16 @@ def test_structural_bounds_c5():
 
 
 def test_neighborhood_bound_is_least_over_edges():
-    # k + 1/2 [delta = k + 1], minimised over every edge uw with
-    # |N(u) | N(w)| = k + 2
+    # k + 1/2 [delta = k + 1, or k >= 1 and the least positive degree is
+    # k + 1], minimised over every edge uw with |N(u) | N(w)| = k + 2
     for n in range(2, 7):
         for f in all_classes(n):
             if not f.edge_count:
                 continue
             delta = f.min_degree()
+            least = min(d for d in f.degrees() if d)
             want = min(
-                Fraction(k) + (Fraction(1, 2) if delta == k + 1 else 0)
+                Fraction(k) + (Fraction(1, 2) if delta == k + 1 or k >= 1 and least == k + 1 else 0)
                 for k in ((f.rows[u] | f.rows[w]).bit_count() - 2 for u, w in f.edges())
             )
             by_source = {b.source: b.value for b in structural_bounds(f).upper}

@@ -289,6 +289,9 @@ def test_failing_verify_checks_count_and_name_the_first(monkeypatch, capsys):
         "cycle-negative-control": "",
         "star-family-certified": "8 counterexamples, first: failed at (r=2, blocks=1)",
         "star-plus-certified": "5 counterexamples, first: blocks not dom-sat at s=4",
+        "turan-saturated": "",
+        "bridge-family-certified": "45 counterexamples, first: not dom-sat for A_ at n=2",
+        "neighborhood-family-certified": "94 counterexamples, first: not dom-sat for A_ at n=4",
     }
     assert cli.main(["verify", "--suite", "constructions"]) == 1
     out = capsys.readouterr().out

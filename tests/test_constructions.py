@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +32,7 @@ from domsat import (
     star_family,
     star_graph,
     star_plus_pair,
+    structural_bounds,
     turan,
 )
 
@@ -175,6 +177,20 @@ def test_neighborhood_family():
         neighborhood_family(complete_graph(3), 10)
     padded = neighborhood_family(complete_graph(3), 10, pad=True)
     assert is_dom_sat(padded, complete_graph(3)).verdict
+
+
+def test_neighborhood_family_ignores_isolated_pattern_vertices():
+    # K_3 + K_1 has minimum degree 0, but its least positive degree is
+    # 2 = k+1: the matched variant certifies, as for K_3, and the bound
+    # is K_3's 3/2
+    f = from_edges(4, [(0, 1), (0, 2), (1, 2)])
+    for n in (6, 8):
+        assert is_dom_sat(neighborhood_family(f, n), f).verdict
+    with pytest.raises(ConstructionError):
+        neighborhood_family(f, 7)
+    assert is_dom_sat(neighborhood_family(f, 7, pad=True), f).verdict
+    by_source = {b.source: b.value for b in structural_bounds(f).upper}
+    assert by_source["neighborhood"] == Fraction(3, 2)
 
 
 def test_neighborhood_density_tracks_clique_witness():

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -6,18 +7,24 @@ from hypothesis import strategies as st
 
 from conftest import brute_pair_firsts, graphs
 from domsat import (
+    all_classes,
+    automorphism_order,
     complete_graph,
     copy_through_edge,
     count_copies,
     count_embeddings,
+    cycle_gadget,
     cycle_graph,
     disjoint_union,
+    dom_turan,
     embedding_exists,
     empty_graph,
     enumerate_graphs,
     from_edges,
     is_valid_embedding,
+    path_family,
     path_graph,
+    star_family,
     star_graph,
 )
 from domsat import embed
@@ -122,6 +129,39 @@ def test_count_with_isolated_pattern_vertex():
     assert count_copies(pattern, host) == 2
 
 
+def _copies_by_division(pattern, host):
+    """The count as embeddings / |Aut(pattern)|, which must divide exactly."""
+    copies, rem = divmod(count_embeddings(pattern, host), automorphism_order(pattern))
+    assert rem == 0, (pattern, host)
+    return copies
+
+
+def test_count_copies_matches_embeddings_over_automorphisms():
+    # every pattern class on 2-5 vertices (edgeless, disconnected and with
+    # isolated vertices included) on every host class on at most 6
+    # vertices, each also under a seeded relabelling
+    rnd = random.Random(1919)
+    patterns = [f for n in range(2, 6) for f in all_classes(n)]
+    for n in range(2, 7):
+        for host in all_classes(n):
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            for h in (host, host.relabel(perm)):
+                for f in patterns:
+                    if f.n <= n:
+                        assert count_copies(f, h) == _copies_by_division(f, h), (f, h)
+    # the certify-scale witness families, each with its own pattern and two more
+    families = (
+        (dom_turan(17, 6), complete_graph(6)),
+        (cycle_gadget(None, 6), cycle_graph(6)),
+        (star_family(14, 4), star_graph(4)),
+        (path_family(12, 5), path_graph(5)),
+    )
+    for host, own in families:
+        for f in (own, complete_graph(3), path_graph(4)):
+            assert count_copies(f, host) == _copies_by_division(f, host), (f, host)
+
+
 @given(graphs(min_n=2, max_n=6), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_count_invariant_under_host_relabeling(host, rnd):
@@ -213,7 +253,7 @@ def _reference_through(pattern, host, u, v):
             if pdegs[a] > degs[hu] or pdegs[b] > degs[hv]:
                 continue
             image[0], image[1] = hu, hv
-            if _search(host.rows, order, back, deg_ok, image, 2, (1 << u) | (1 << v), 1):
+            if _search(host.rows, order, back, deg_ok, image, 2, (1 << u) | (1 << v)):
                 return _mapping(order, image)
     return None
 
@@ -243,7 +283,10 @@ def test_count_stops_early_below_the_pattern_edge_count(monkeypatch):
         raise AssertionError("searched a host with too few edges")
 
     monkeypatch.setattr(embed, "_search", no_search)
+    monkeypatch.setattr(embed, "_count", no_search)
     two_k2 = from_edges(4, [(0, 1), (2, 3)])
     # every degree is met, so only the edge count rules the copies out
     assert _Host(two_k2, from_edges(4, [(0, 1)])).count() == 0
     assert _Host(cycle_graph(4), disjoint_union([complete_graph(3), empty_graph(1)])).count() == 0
+    assert _Host(two_k2, from_edges(4, [(0, 1)])).first() is None
+    assert count_copies(two_k2, from_edges(4, [(0, 1)])) == 0
