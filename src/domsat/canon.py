@@ -5,7 +5,10 @@ partition to equitability, branch on the first non-singleton cell, and
 keep the lexicographically least adjacency encoding over all leaves.
 Automorphisms discovered when two leaves collide prune sibling branches
 (orbit pruning restricted to generators fixing the individualized
-prefix), which keeps highly symmetric graphs from exploding.
+prefix), which keeps highly symmetric graphs from exploding.  A child
+is refined only by the two cells its individualization made, {v} and
+the rest of the target cell, since its parent's partition is already
+equitable with respect to every other cell.
 
 One search yields the canonical form, generators of Aut and |Aut|
 (McKay and Piperno, "Practical graph isomorphism, II", J. Symbolic
@@ -43,11 +46,16 @@ from .graph6 import graph6_encode
 from .graphs import Graph, _bits, _relabelled, _trusted_graph
 
 
-def _refine(rows: tuple[int, ...], cells: list[int]) -> list[int]:
-    """Coarsest equitable ordered partition refining cells."""
+def _refine(rows: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
+    """Coarsest equitable ordered partition refining cells.
+
+    Only the masks in queue, and the parts each split makes, are used as
+    splitters, last first.  So cells must already be equitable with
+    respect to every cell left out of queue: each vertex of a cell has
+    the same number of neighbours in it."""
     n = len(rows)
     cells = list(cells)
-    queue = list(cells)
+    queue = list(queue)
     # a discrete partition splits no further, so the rest of the queue is moot
     while queue and len(cells) < n:
         splitter = queue.pop()
@@ -143,10 +151,11 @@ def _canonical_search(
     best_fixed: tuple[int, ...] = ()
     autos: list[tuple[int, ...]] = []
 
-    def descend(cells: list[int], fixed: tuple[int, ...]) -> int:
-        """Search below fixed; return the depth to resume at (n: no jump)."""
+    def descend(cells: list[int], queue: list[int], fixed: tuple[int, ...]) -> int:
+        """Search below fixed, refining cells by queue; return the depth to
+        resume at (n: no jump)."""
         nonlocal best_enc, best_pos, best_fixed
-        cells = _refine(rows, cells)
+        cells = _refine(rows, cells, queue)
         target = next((c for c in cells if c & (c - 1)), 0)
         if not target:
             pos = [0] * n
@@ -181,12 +190,14 @@ def _canonical_search(
                 if roots is not None and any(roots[v] == roots[u] for u in tried):
                     continue
             tried.append(v)
-            depth = descend(head + [1 << v, target & ~(1 << v)] + rest, fixed + (v,))
+            # cells is equitable, so in the child only these two can split
+            split = [1 << v, target & ~(1 << v)]
+            depth = descend(head + split + rest, split, fixed + (v,))
             if depth < len(fixed):
                 return depth
         return n
 
-    descend([g.vertex_mask], ())
+    descend([g.vertex_mask], [g.vertex_mask], ())
     # descend holds itself through its closure; breaking that cycle frees
     # the search's lists now instead of at the next cycle collection
     del descend

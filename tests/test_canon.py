@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations
 from math import factorial
@@ -19,14 +20,25 @@ from domsat import (
     path_graph,
     star_graph,
 )
+from domsat import canon
 from domsat.canon import (
     _canonical_search,
     _orbit_roots,
     _pair_orbit_firsts,
     canonical_form_with_generators,
+    canonical_graph6,
     canonical_relabeling,
 )
-from domsat.constructions import cycle_gadget, cycle_gadget_layout
+from domsat.constructions import (
+    _clique_pair,
+    bridge_family,
+    cycle_gadget,
+    cycle_gadget_layout,
+    dom_turan,
+    path_component_size,
+    path_family,
+    star_family,
+)
 from domsat.embed import count_embeddings
 from domsat.enumeration import all_classes
 
@@ -62,16 +74,34 @@ def test_generators_reach_whole_orbits():
     assert len({orbits[v] for v in range(c.n) if v != centre}) == 1
 
 
-def test_non_edge_orbits_match_brute_force():
-    # every class on at most 6 vertices, as enumerated and relabelled
-    rnd = random.Random(6)
-    for n in range(1, 7):
+def _small_classes(max_n, seed):
+    """Every class on 1..max_n vertices, as enumerated and relabelled."""
+    rnd = random.Random(seed)
+    for n in range(1, max_n + 1):
         for g in all_classes(n):
             perm = list(range(n))
             rnd.shuffle(perm)
-            for h in (g, g.relabel(perm)):
-                got = _pair_orbit_firsts(h.non_edges(), _canonical_search(h)[2])
-                assert got == brute_pair_firsts(h, h.non_edges(), ordered=False), h
+            yield g
+            yield g.relabel(perm)
+
+
+def _certify_hosts():
+    """Hosts of the sizes the certify benchmark labels: dom_turan(n, r)
+    for r = 3..6 and n = 12..20, dom_turan(30, 5) and a relabelled
+    cycle_gadget(23, 5, 2)."""
+    hosts = [dom_turan(n, r) for r in range(3, 7) for n in range(12, 21)]
+    hosts.append(dom_turan(30, 5))
+    g = cycle_gadget(23, 5, 2)
+    perm = list(range(g.n))
+    random.Random(23).shuffle(perm)
+    hosts.append(g.relabel(perm))
+    return hosts
+
+
+def test_non_edge_orbits_match_brute_force():
+    for h in _small_classes(6, 6):
+        got = _pair_orbit_firsts(h.non_edges(), _canonical_search(h)[2])
+        assert got == brute_pair_firsts(h, h.non_edges(), ordered=False), h
 
 
 @given(graphs(max_n=7))
@@ -184,3 +214,93 @@ def test_are_isomorphic():
     assert are_isomorphic(path_graph(3), star_graph(2))
     assert not are_isomorphic(path_graph(4), star_graph(3))
     assert not are_isomorphic(path_graph(3), path_graph(4))
+
+
+CANONICAL_SEARCH_DIGEST = "f93df0151c0c7d961b5f1b967f64c4e9fc1266713f550e16a9e3569ac2ebeca8"
+
+
+def test_canonical_search_digest():
+    # pins positions, encodings, automorphisms and base paths, so a change
+    # to the search or its refinement that reorders cells shows here
+    h = hashlib.sha256()
+    for g in [*_small_classes(7, 7), *_certify_hosts()]:
+        h.update(f"{_canonical_search(g)}\n".encode())
+    assert h.hexdigest() == CANONICAL_SEARCH_DIGEST
+
+
+def _full_queue_refine(rows, cells):
+    """_refine before it took a queue: every cell starts as a splitter.
+    It also drops the one-vertex shortcut and splits every cell by its
+    count of neighbours in the splitter."""
+    n = len(rows)
+    cells = list(cells)
+    queue = list(cells)
+    while queue and len(cells) < n:
+        splitter = queue.pop()
+        new_cells = []
+        for cell in cells:
+            groups = {}
+            for v in range(n):
+                if cell >> v & 1:
+                    key = (rows[v] & splitter).bit_count()
+                    groups[key] = groups.get(key, 0) | 1 << v
+            parts = [groups[key] for key in sorted(groups)]
+            new_cells += parts
+            if len(parts) > 1:
+                queue += parts
+        cells = new_cells
+    return cells
+
+
+def test_refining_from_the_split_cells_matches_full_refinement(monkeypatch):
+    # the search refines a child only by the cells its individualisation
+    # made; every call must give the partition a full queue gives
+    refine = canon._refine
+    calls = 0
+
+    def checked(rows, cells, queue):
+        nonlocal calls
+        calls += 1
+        got = refine(rows, cells, queue)
+        assert got == _full_queue_refine(rows, cells), (rows, cells, queue)
+        return got
+
+    monkeypatch.setattr(canon, "_refine", checked)
+    hosts = [*_small_classes(6, 6), *_certify_hosts()]
+    for g in hosts:
+        _clear_canon_caches()
+        _canonical_search(g)
+    _clear_canon_caches()
+    assert calls > 2 * len(hosts)
+
+
+def _large_certify_instances():
+    """The family instances the certify benchmark builds on 21..30
+    vertices, above the size its own relabelling check reaches."""
+    yield dom_turan(30, 5)
+    for n in range(21, 25):
+        for r in range(3, 14):
+            if n % path_component_size(r) == 0:
+                yield path_family(n, r)
+        for r in (2, 3, 4, 5):
+            if n % (2 * r - 1) == 0:
+                yield star_family(n, r)
+        for r, p in ((5, 2), (6, 3), (7, 4), (5, 3), (6, 4), (7, 5)):
+            if (n - r) % p == 0 and (n - r) // p >= 2:
+                yield cycle_gadget(n, r, p)
+        for r in (3, 4, 5):
+            if n % (2 * r) == 0:
+                yield bridge_family(_clique_pair(r), n)
+
+
+def test_large_certify_hosts_keep_form_and_order_under_relabelling():
+    rnd = random.Random(30)
+    hosts = list(_large_certify_instances())
+    assert len(hosts) == 20
+    for g in hosts:
+        want = canonical_graph6(g), automorphism_order(g)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rnd.shuffle(perm)
+            h = g.relabel(perm)
+            assert (canonical_graph6(h), automorphism_order(h)) == want, (g, perm)
