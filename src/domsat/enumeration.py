@@ -86,12 +86,13 @@ def _extend_levels(n: int, m: int) -> list[list[Graph]]:
 
 def enumerate_graphs(n: int, m: int) -> Iterator[Graph]:
     """One canonical representative per isomorphism class of n-vertex
-    m-edge graphs, in a fixed deterministic order."""
+    m-edge graphs, in a fixed deterministic order.  A bad n or m raises
+    at the call, and the level is built there too."""
     if not 1 <= n <= MAX_ENUM_VERTICES:
         raise ValueError(f"enumeration supports 1..{MAX_ENUM_VERTICES} vertices")
     if not 0 <= m <= n * (n - 1) // 2:
         raise ValueError(f"edge count {m} outside 0..{n * (n - 1) // 2}")
-    yield from _extend_levels(n, m)[m]
+    return iter(_extend_levels(n, m)[m])
 
 
 def class_count(n: int, m: int) -> int:

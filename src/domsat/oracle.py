@@ -1,12 +1,11 @@
-"""Naive labeled-graph oracle, independent of the fast enumeration path.
+"""Naive labeled-graph oracle, independent of the fast paths.
 
 A labeled graph on n vertices is an integer whose bits select pairs from
 the lexicographic pair list; the canonical key of a class is the minimum
-of that integer over all n! vertex permutations.  Nothing here is shared
-with enumeration.py, so agreement between the two class pipelines is a
-real cross-check.  naive_min_edges decides each graph with run_predicate
-(loading predicates, embed and canon), so it checks the sweep, not the
-predicates (ROADMAP item 1).
+of that integer over all n! vertex permutations.  decide settles the six
+predicates from their definitions over every copy of the pattern in K_n.
+Only graphs is imported from domsat, so agreement with enumeration.py
+and with predicates.py (and embed and canon under it) is a cross-check.
 
 Class counting sweeps the whole 2^C(n,2) space, so it takes n <=
 MAX_ORACLE_VERTICES = 6; naive_min_edges, a rerun driven by edge-subset
@@ -23,7 +22,6 @@ from math import factorial, gcd
 from typing import Iterator
 
 from .graphs import Graph, from_edges
-from .predicates import run_predicate
 
 MAX_ORACLE_VERTICES = 6
 
@@ -57,12 +55,6 @@ def _remap(code: int, bit_map: tuple[int, ...]) -> int:
 def perm_canonical_key(n: int, code: int) -> int:
     """Minimum relabeling of the pair-bit code over all permutations."""
     return min(_remap(code, bm) for bm in _perm_bit_maps(n))
-
-
-def _graph_from_code(n: int, code: int) -> Graph:
-    pairs = _pairs(n)
-    edges = [pairs[i] for i in range(len(pairs)) if code >> i & 1]
-    return from_edges(n, edges)
 
 
 def labeled_class_counts(n: int) -> dict[int, int]:
@@ -131,34 +123,94 @@ def level_counts(n: int) -> list[int]:
     return [t // factorial(n) for t in totals]
 
 
+@lru_cache(maxsize=None)
+def _copies(f: Graph, n: int) -> tuple[tuple, tuple[int, ...]]:
+    """One injective map onto each copy of f in K_n (f vertex i to
+    image[i]) and, per pair of K_n, the copies using it as a bit mask."""
+    index = {p: i for i, (u, v) in enumerate(_pairs(n)) for p in ((u, v), (v, u))}
+    found: dict[int, tuple[int, ...]] = {}
+    for image in permutations(range(n), f.n):
+        found.setdefault(sum(1 << index[image[a], image[b]] for a, b in f.edges()), image)
+    using = tuple(
+        sum(1 << c for c, s in enumerate(found) if s >> b & 1) for b in range(len(index) // 2)
+    )
+    return tuple(found.values()), using
+
+
+def _gap_use(gaps: list[int], using: tuple[int, ...]) -> tuple[int, list[int]]:
+    """For gaps, the pairs missing from G: the copies using some gap, and
+    the gaps b for which some copy S has S minus G = {b}."""
+    once = twice = 0
+    for b in gaps:
+        twice |= once & using[b]
+        once |= using[b]
+    return once, [b for b in gaps if using[b] & ~twice]
+
+
+def decide(g: Graph, f: Graph) -> dict[str, tuple[bool, str, tuple]]:
+    """Each predicate's (verdict, certificate kind, certificate) for host
+    g and pattern f, from the definitions.
+
+    A conjunction reports its first test to fail: a copy inside g (as an
+    embedding), the first uncovered edge in edges() order, or the first
+    non-edge no copy can use in non_edges() order.  weakly-saturated adds
+    the first non-edge some copy can use until none is left, and reports
+    that order, or the non-edges left when there are any.
+    """
+    pairs = _pairs(g.n)
+    images, using = _copies(f, g.n)
+    gaps = [b for b, (u, v) in enumerate(pairs) if not g.has_edge(u, v)]
+    outside, usable = _gap_use(gaps, using)
+    inside = (1 << len(images)) - 1 & ~outside  # the copies inside g
+    failed = {  # each test's failure, or None
+        "embedding": images[(inside & -inside).bit_length() - 1] if inside else None,
+        "uncovered-edge": next((p for b, p in enumerate(pairs)
+                                if g.has_edge(*p) and not using[b] & inside), None),
+        "non-edge": next((pairs[b] for b in gaps if b not in usable), None),
+    }
+    order = []
+    while usable:
+        gaps.remove(usable[0])
+        order.append(pairs[usable[0]])
+        usable = _gap_use(gaps, using)[1]
+    reports = {"weakly-saturated": (False, "closure-gap", tuple(pairs[b] for b in gaps))
+               if gaps else (True, "closure-order", tuple(order))}
+    for name, tests in (
+        ("free", ("embedding",)), ("semi-saturated", ("non-edge",)),
+        ("saturated", ("embedding", "non-edge")), ("dominated", ("uncovered-edge",)),
+        ("dom-sat", ("uncovered-edge", "non-edge")),
+    ):
+        kind = next((t for t in tests if failed[t] is not None), None)
+        reports[name] = (False, kind, failed[kind]) if kind else (True, "none", ())
+    return reports
+
+
 def naive_min_edges(
     pattern: Graph, n: int, predicate: str
 ) -> tuple[int, list[Graph]]:
     """Minimum edge count and witnesses by labeled edge-subset sweep.
 
     Classes are deduplicated with the permutation-canonical key before
-    testing; witnesses come back as one labeled representative per
-    class.  Only graphs with at least one edge are swept.
+    testing, and each is decided from the definitions (decide); witnesses
+    come back as one labeled representative per class.  Only graphs with
+    at least one edge are swept.
     """
     if not pattern.n <= n <= MAX_ORACLE_VERTICES + 1:
         raise ValueError(
             f"naive sweep supports pattern order..{MAX_ORACLE_VERTICES + 1} vertices"
         )
+    predicate = predicate.replace("_", "-")
+    if predicate not in decide(pattern, pattern):  # keyed by the six names
+        raise ValueError(f"unknown predicate {predicate!r}")
     pairs = _pairs(n)
     for m in range(1, len(pairs) + 1):
-        tested: set[int] = set()
-        hits: dict[int, Graph] = {}
+        tested: dict[int, Graph | None] = {}  # class key -> the graph if it passed
         for chosen in combinations(range(len(pairs)), m):
-            code = 0
-            for i in chosen:
-                code |= 1 << i
-            key = perm_canonical_key(n, code)
-            if key in tested:
-                continue
-            tested.add(key)
-            g = _graph_from_code(n, code)
-            if run_predicate(predicate, g, pattern).verdict:
-                hits[key] = g
+            key = perm_canonical_key(n, sum(1 << i for i in chosen))
+            if key not in tested:
+                g = from_edges(n, [pairs[i] for i in chosen])
+                tested[key] = g if decide(g, pattern)[predicate][0] else None
+        hits = [tested[k] for k in sorted(tested) if tested[k] is not None]
         if hits:
-            return m, [hits[k] for k in sorted(hits)]
+            return m, hits
     raise RuntimeError("no graph passed at any edge count; predicate broken")

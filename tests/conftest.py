@@ -15,9 +15,24 @@ from hypothesis import strategies as st
 from domsat import (
     complete_graph,
     cycle_graph,
+    disjoint_union,
+    empty_graph,
     from_edges,
     path_graph,
     star_graph,
+)
+
+# the pool patterns, then asymmetric and disconnected ones: 2K2, paw,
+# bull, K3+K2, P3+K1 and K1,4+K2
+ANCHOR_PATTERNS = (
+    complete_graph(3), complete_graph(4), cycle_graph(4), cycle_graph(5),
+    path_graph(3), star_graph(3), path_graph(4),
+    from_edges(4, [(0, 1), (2, 3)]),
+    from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)]),
+    disjoint_union([complete_graph(3), complete_graph(2)]),
+    disjoint_union([path_graph(3), empty_graph(1)]),
+    disjoint_union([star_graph(4), complete_graph(2)]),
 )
 
 

@@ -1,0 +1,130 @@
+"""Mutation ledger: each entry breaks the program on purpose and names the
+tests that must catch it.
+
+    python tests/mutants.py
+
+For one entry the runner copies src/ and tests/ into a temporary
+directory, replaces the entry's text (which occurs exactly once) in its
+file there, and runs the entry's tests in that copy with
+`python -m pytest`.  The entry is killed when the tests fail and
+survives when they pass; any other pytest outcome (a test that cannot
+be collected, say) is an error.  The script exits 1 unless every entry
+is killed.  Tier-1 runs no mutant: tests/test_package.py only checks,
+with problems(), that every text occurs once and every named test
+exists.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+DEFINITIONS = "tests/test_predicates.py::test_predicates_match_their_definitions"
+ANCHORS = "for x, y in _pair_orbit_firsts(arcs, _canonical_search(pattern)[2])\n"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    text: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "drop-first-arc-anchor", "src/domsat/embed.py", ANCHORS,
+        ANCHORS.replace("[2])", "[2])[1:]"), (DEFINITIONS,),
+    ),
+    Mutant(
+        "drop-last-arc-anchor", "src/domsat/embed.py", ANCHORS,
+        ANCHORS.replace("[2])", "[2])[:-1]"), (DEFINITIONS,),
+    ),
+    # the second anchor, only for patterns with at least three arc orbits
+    Mutant(
+        "drop-middle-arc-anchor", "src/domsat/embed.py", ANCHORS,
+        "for x, y in (lambda fs: fs[:1] + fs[2:] if len(fs) > 2 else fs)"
+        "(_pair_orbit_firsts(arcs, _canonical_search(pattern)[2]))\n",
+        (DEFINITIONS,),
+    ),
+    Mutant(
+        "through-added-without-new-degree", "src/domsat/embed.py",
+        "self.degs[u] + 1, self.degs[v] + 1", "self.degs[u], self.degs[v]",
+        (DEFINITIONS,),
+    ),
+    Mutant(
+        "strict-degree-mask", "src/domsat/embed.py", "if hd >= d)", "if hd > d)",
+        (DEFINITIONS,),
+    ),
+    Mutant(
+        "closure-order-step-unchecked", "src/domsat/predicates.py",
+        "        if probe.through_edge(*e) is None:\n            return False\n", "",
+        ("tests/test_predicates.py::test_forged_certificates_do_not_replay"
+         "[closure-order-with-no-copy]",),
+    ),
+    Mutant(
+        "count-without-below", "src/domsat/embed.py",
+        "mask &= (1 << image[j]) - 1", "pass",
+        ("tests/test_embed.py::"
+         "test_count_copies_matches_embeddings_with_constraints_placed_late",),
+    ),
+)
+
+
+def problems() -> list[str]:
+    """Entries whose text does not occur exactly once, or that name a
+    test (or a parametrized id) the test file does not define."""
+    found = []
+    for m in MUTANTS:
+        times = (ROOT / m.file).read_text().count(m.text)
+        if times != 1:
+            found.append(f"{m.name}: its text occurs {times} times in {m.file}")
+        for node in m.tests:
+            path, _, test = node.partition("::")
+            func, _, param = test.rstrip("]").partition("[")
+            source = (ROOT / path).read_text() if (ROOT / path).is_file() else ""
+            if f"def {func}(" not in source or param and f'"{param}"' not in source:
+                found.append(f"{m.name}: no test {node}")
+    return found
+
+
+def run(m: Mutant) -> str:
+    """'killed', 'survived' or 'error: ...' for one entry."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        target = copy / m.file
+        target.write_text(target.read_text().replace(m.text, m.replacement, 1))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(copy / "src"), env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *m.tests],
+            cwd=copy, env=env, capture_output=True, text=True,
+        )
+    if done.returncode in (0, 1):
+        return "killed" if done.returncode else "survived"
+    return f"error: pytest exited {done.returncode}: {done.stdout.strip()[-300:]}"
+
+
+def main() -> int:
+    broken = problems()
+    if broken:
+        print("\n".join(broken))
+        return 1
+    statuses = [(m.name, run(m)) for m in MUTANTS]
+    for name, status in statuses:
+        print(f"{name}: {status}")
+    return 0 if all(status == "killed" for _, status in statuses) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

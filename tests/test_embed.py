@@ -1,11 +1,10 @@
 import random
-from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_pair_firsts, graphs
+from conftest import ANCHOR_PATTERNS, brute_pair_firsts, graphs
 from domsat import (
     all_classes,
     automorphism_order,
@@ -30,19 +29,7 @@ from domsat import (
 from domsat import embed
 from domsat.canon import _canonical_search, _pair_orbit_firsts
 from domsat.embed import _Host, _mapping, _plan, _search, _search_order
-
-# the pool patterns, then asymmetric and disconnected ones: 2K2, paw,
-# bull, K3+K2, P3+K1 and K1,4+K2
-ANCHOR_PATTERNS = (
-    complete_graph(3), complete_graph(4), cycle_graph(4), cycle_graph(5),
-    path_graph(3), star_graph(3), path_graph(4),
-    from_edges(4, [(0, 1), (2, 3)]),
-    from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
-    from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)]),
-    disjoint_union([complete_graph(3), complete_graph(2)]),
-    disjoint_union([path_graph(3), empty_graph(1)]),
-    disjoint_union([star_graph(4), complete_graph(2)]),
-)
+from domsat.oracle import decide
 
 PETERSEN = from_edges(
     10,
@@ -65,10 +52,7 @@ def test_existence_examples():
 
 
 def _naive_exists(pattern, host):
-    return any(
-        all(host.has_edge(sub[a], sub[b]) for a, b in pattern.edges())
-        for sub in permutations(range(host.n), pattern.n)
-    )
+    return not decide(host, pattern)["free"][0]
 
 
 def test_existence_matches_naive_small():
@@ -159,6 +143,26 @@ def test_count_copies_matches_embeddings_over_automorphisms():
     )
     for host, own in families:
         for f in (own, complete_graph(3), path_graph(4)):
+            assert count_copies(f, host) == _copies_by_division(f, host), (f, host)
+
+
+def test_count_copies_matches_embeddings_with_constraints_placed_late():
+    # a canonical representative never puts a base vertex after another
+    # vertex of its orbit in the search order, so its plan's below is
+    # empty; relabelled patterns can, and there the constraint is kept
+    # at the base vertex's own position
+    rnd = random.Random(2021)
+    patterns = [from_edges(6, [(0, 2), (0, 5), (1, 3), (1, 4), (1, 5), (2, 4)])]
+    for f in (f for m in range(5, 10) for f in enumerate_graphs(7, m)):
+        perm = list(range(7))
+        rnd.shuffle(perm)
+        patterns.append(f.relabel(perm))
+    patterns = [f for f in patterns if any(_plan(f).below)]
+    assert len(patterns) == 7
+    assert count_copies(patterns[0], complete_graph(7)) == 2520
+    dense = from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if rnd.random() < 0.7])
+    for host in (complete_graph(7), PETERSEN, dense):
+        for f in patterns:
             assert count_copies(f, host) == _copies_by_division(f, host), (f, host)
 
 

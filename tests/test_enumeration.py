@@ -107,10 +107,10 @@ def test_no_two_classes_isomorphic():
 
 
 def test_range_checks():
-    with pytest.raises(ValueError):
-        list(enumerate_graphs(11, 3))
-    with pytest.raises(ValueError):
-        list(enumerate_graphs(4, 7))
+    # a bad n or m raises at the call, before anything is iterated
+    for n, m in ((11, 3), (0, 0), (4, 7), (4, -1)):
+        with pytest.raises(ValueError):
+            enumerate_graphs(n, m)
 
 
 def test_tree_counts():

@@ -139,6 +139,7 @@ K3, K40, K30 = (domsat.complete_graph(n) for n in (3, 40, 30))
         lambda: oracle.labeled_class_counts(7),
         lambda: oracle.level_counts(0),
         lambda: oracle.naive_min_edges(K3, 8, "dom-sat"),
+        lambda: oracle.naive_min_edges(K3, 4, "nonsense"),
         lambda: domsat.dsat_clique_upper_edges(2, 3),
         lambda: domsat.star_density_candidates(1),
         lambda: domsat.known_density("path", r=2),
@@ -153,7 +154,8 @@ K3, K40, K30 = (domsat.complete_graph(n) for n in (3, 40, 30))
     ids=[
         "subgraph-empty", "cycle-2", "star-0", "join-past-64", "union-past-64",
         "union-empty", "edge-connectivity-negative", "gadget-loop-0", "scan-edgeless",
-        "oracle-sweep-7", "level-counts-0", "naive-sweep-8", "upper-edges-n-below-r",
+        "oracle-sweep-7", "level-counts-0", "naive-sweep-8", "naive-sweep-unknown-predicate",
+        "upper-edges-n-below-r",
         "star-candidates-1", "path-density-2", "cycle-density-3", "star-density-1",
         "star-plus-density-3", "kt-path-density-2", "class-count-m-7", "class-count-n-11",
         "class-count-m-negative",
@@ -166,14 +168,23 @@ def test_documented_input_errors_are_value_errors(call):
 
 
 def test_oracle_loads_no_enumeration():
-    # the oracle's class counts are a cross-check of enumeration's
+    # the oracle's class counts are a cross-check of enumeration's, and its
+    # predicate decisions of predicates, embed and canon: it loads only graphs
     out = run_python(
         "-c",
         "import sys, domsat.oracle\n"
-        "print('domsat.enumeration' in sys.modules)"
+        "print(sorted(m for m in sys.modules if m.startswith('domsat.')))"
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "['domsat.graphs', 'domsat.oracle']"
+
+
+def test_mutation_ledger_entries_apply_and_name_tests():
+    # runs no mutant: each text occurs once in its file, each test exists
+    import mutants
+
+    assert len(mutants.MUTANTS) == len({m.name for m in mutants.MUTANTS}) == 7
+    assert mutants.problems() == []
 
 
 # -- the import boundary ---------------------------------------------------------
