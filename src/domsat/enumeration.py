@@ -14,10 +14,9 @@ deduplication.  The key is an isomorphism invariant, so most children
 are rejected before they are canonically labelled.  Each automorphism
 group, the empty graph's too, comes as the generators that the
 canonical labelling search found, and both orbit steps call canon's
-pair-orbit routine (see canon.py).  Levels are cached per n for the
-life of the process and streamed in graph6 order, so repeated sweeps
-are cheap; generators are kept for the last level only.  The cache
-takes no lock: callers are single-threaded.
+pair-orbit routine (see canon.py).  levels(n) walks the levels in
+graph6 order and holds only the level it is extending and that level's
+generators; each caller makes its own walk, and nothing outlives it.
 
 The independent anti-hallucination oracle lives in oracle.py and shares
 no code with this path.
@@ -25,17 +24,15 @@ no code with this path.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator
 
 from .canon import _canonical_search, _pair_orbit_firsts, _pair_orbit_roots
 from .canon import canonical_form_with_generators
 from .graph6 import graph6_encode
-from .graphs import Graph, empty_graph
+from .graphs import Graph, empty_graph, is_connected
 
 MAX_ENUM_VERTICES = 10
-
-_levels: dict[int, list[list[Graph]]] = {}
-_frontier_gens: dict[int, list[list[tuple[int, ...]]]] = {}  # Aut generators per class
 
 
 def _top_key_edges(deg: list[int], edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -56,14 +53,17 @@ def _in_canonical_orbit(child: Graph, top: list[tuple[int, int]]) -> bool:
     return roots[-1] == roots[labelled.index(min(labelled))]
 
 
-def _extend_levels(n: int, m: int) -> list[list[Graph]]:
-    levels = _levels.get(n)
-    if levels is None:
-        levels = _levels[n] = [[empty_graph(n)]]  # its own canonical form
-        _frontier_gens[n] = [canonical_form_with_generators(levels[0][0])[1]]
-    while len(levels) <= m:
+def levels(n: int) -> Iterator[list[Graph]]:
+    """Level m = 0, 1, ..., C(n, 2) of the n-vertex classes, each a list of
+    canonical representatives in graph6 order.  Level m is built only
+    when asked for; a bad n raises at the first one."""
+    if not 1 <= n <= MAX_ENUM_VERTICES:
+        raise ValueError(f"enumeration supports 1..{MAX_ENUM_VERTICES} vertices")
+    level = [canonical_form_with_generators(empty_graph(n))]  # its own canonical form
+    while level:  # the complete graph's level has no children
+        yield [g for g, _ in level]
         made = []
-        for parent, gens in zip(levels[-1], _frontier_gens[n]):
+        for parent, gens in level:
             degrees = parent.degrees()
             edges = parent.edges()
             for u, v in _pair_orbit_firsts(parent.non_edges(), gens):
@@ -79,20 +79,16 @@ def _extend_levels(n: int, m: int) -> list[list[Graph]]:
                 if len(top) == 1 or _in_canonical_orbit(child, top):
                     made.append(canonical_form_with_generators(child))
         made.sort(key=lambda entry: graph6_encode(entry[0]))
-        levels.append([g for g, _ in made])
-        _frontier_gens[n] = [child_gens for _, child_gens in made]
-    return levels
+        level = made
 
 
 def enumerate_graphs(n: int, m: int) -> Iterator[Graph]:
     """One canonical representative per isomorphism class of n-vertex
     m-edge graphs, in a fixed deterministic order.  A bad n or m raises
     at the call, and the level is built there too."""
-    if not 1 <= n <= MAX_ENUM_VERTICES:
-        raise ValueError(f"enumeration supports 1..{MAX_ENUM_VERTICES} vertices")
     if not 0 <= m <= n * (n - 1) // 2:
         raise ValueError(f"edge count {m} outside 0..{n * (n - 1) // 2}")
-    return iter(_extend_levels(n, m)[m])
+    return iter(next(islice(levels(n), m, None)))
 
 
 def class_count(n: int, m: int) -> int:
@@ -101,14 +97,12 @@ def class_count(n: int, m: int) -> int:
 
 def all_classes(n: int) -> Iterator[Graph]:
     """Every isomorphism class on exactly n vertices, by edge count."""
-    for m in range(n * (n - 1) // 2 + 1):
-        yield from enumerate_graphs(n, m)
+    for level in levels(n):
+        yield from level
 
 
 def enumerate_trees(n: int) -> list[Graph]:
     """Tree isomorphism classes on n vertices."""
-    from .graphs import is_connected
-
     if n == 1:
         return [empty_graph(1)]
     return [g for g in enumerate_graphs(n, n - 1) if is_connected(g)]

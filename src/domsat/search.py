@@ -14,11 +14,12 @@ floor against an unpruned sweep.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._json import record
 from .canon import canonical_graph6
-from .enumeration import MAX_ENUM_VERTICES, enumerate_graphs
+from .enumeration import MAX_ENUM_VERTICES, levels
 from .graph6 import graph6_encode
 from .graphs import Graph, component_graphs
 from .predicates import PREDICATES, _require_pattern
@@ -157,8 +158,8 @@ def min_edges(
 
     Exhaustive over isomorphism classes, level by level upward from the
     degree floor (dom-sat hosts have an edge); witnesses are every passing
-    class at the minimum, as sorted canonical graph6 strings.  There is no
-    result store: every returned minimum is certified by this call's sweep.
+    class at the minimum, as sorted canonical graph6 strings.  One walk of
+    levels(n), up to the first level with a winner, certifies the minimum.
     """
     predicate = _normalize_predicate(predicate)
     _check_order(pattern, n, max_n)
@@ -167,8 +168,7 @@ def min_edges(
     pred_fn = PREDICATES[predicate]
     examined = 0
 
-    for m in range(_sweep_start(n, info, predicate), n * (n - 1) // 2 + 1):
-        classes = list(enumerate_graphs(n, m))
+    for m, classes in islice(enumerate(levels(n)), _sweep_start(n, info, predicate), None):
         examined += len(classes)
         winners = [
             g for g in classes if _passes_floor(g, info, predicate) and pred_fn(g, pattern).verdict

@@ -27,6 +27,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 DEFINITIONS = "tests/test_predicates.py::test_predicates_match_their_definitions"
 ANCHORS = "for x, y in _pair_orbit_firsts(arcs, _canonical_search(pattern)[2])\n"
+PRUNING = "tests/test_search.py::test_pruning_is_sound"
+CHILD = "depth = descend(head + split + rest, split, fixed + (v,))"
 
 
 class Mutant(NamedTuple):
@@ -73,6 +75,34 @@ MUTANTS = (
         "mask &= (1 << image[j]) - 1", "pass",
         ("tests/test_embed.py::"
          "test_count_copies_matches_embeddings_with_constraints_placed_late",),
+    ),
+    Mutant(
+        "floor-at-pattern-min-degree", "src/domsat/search.py",
+        "if min(degs) < info.delta - 1:", "if min(degs) < info.delta:", (PRUNING,),
+    ),
+    Mutant(
+        "dom-sat-floor-rejects-pattern-min-degree", "src/domsat/search.py",
+        "0 < d < info.delta_pos", "0 < d <= info.delta_pos", (PRUNING,),
+    ),
+    Mutant(
+        "dom-sat-sweep-starts-too-high", "src/domsat/search.py",
+        "info.delta_pos + 1) // 2)", "info.delta_pos + 3) // 2)", (PRUNING,),
+    ),
+    # a child refined by its singleton cell only, not by the rest of the split cell
+    Mutant(
+        "child-refined-by-singleton-only", "src/domsat/canon.py",
+        CHILD, CHILD.replace(", split,", ", [1 << v],"),
+        ("tests/test_canon.py::test_canonical_search_digest",),
+    ),
+    Mutant(
+        "child-test-always-true", "src/domsat/enumeration.py",
+        "if len(top) == 1 or _in_canonical_orbit(child, top):", "if True:",
+        ("tests/test_enumeration.py::test_burnside_level_counts_match_enumeration",),
+    ),
+    Mutant(
+        "levels-left-unsorted", "src/domsat/enumeration.py",
+        "        made.sort(key=lambda entry: graph6_encode(entry[0]))\n", "",
+        ("tests/test_enumeration.py::test_seven_vertex_stream_digest",),
     ),
 )
 

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,8 @@ from domsat import (
 from domsat import embed
 from domsat.canon import _canonical_search, _pair_orbit_firsts
 from domsat.embed import _Host, _mapping, _plan, _search, _search_order
-from domsat.oracle import decide
+from domsat.enumeration import levels
+from domsat.oracle import _copies, _pairs, decide
 
 PETERSEN = from_edges(
     10,
@@ -153,7 +155,7 @@ def test_count_copies_matches_embeddings_with_constraints_placed_late():
     # at the base vertex's own position
     rnd = random.Random(2021)
     patterns = [from_edges(6, [(0, 2), (0, 5), (1, 3), (1, 4), (1, 5), (2, 4)])]
-    for f in (f for m in range(5, 10) for f in enumerate_graphs(7, m)):
+    for f in (f for level in islice(levels(7), 5, 10) for f in level):
         perm = list(range(7))
         rnd.shuffle(perm)
         patterns.append(f.relabel(perm))
@@ -271,6 +273,37 @@ def test_anchored_probes_find_the_reference_mapping(host):
             assert probe.through_edge(*e) == _reference_through(pattern, host, *e), (pattern, e)
         for e in host.non_edges():
             assert probe.through_added(*e) == _reference_through(pattern, host, *e), (pattern, e)
+
+
+def test_anchored_probe_mappings_match_the_copy_definition():
+    # shares no code with embed: the copies of the pattern in K_n come from
+    # the oracle, and each mapping is checked against the host's pair bits
+    for n in range(2, 7):
+        pairs = _pairs(n)
+        for host in all_classes(n):
+            gaps = [b for b, p in enumerate(pairs) if not host.has_edge(*p)]
+            for pattern in ANCHOR_PATTERNS:
+                using = _copies(pattern, n)[1]
+                probe = _Host(pattern, host)
+                for b, (u, v) in enumerate(pairs):
+                    # a copy S through e = uv in G + e with S minus G in {e}
+                    other_gaps = 0
+                    for c in gaps:
+                        if c != b:
+                            other_gaps |= using[c]
+                    exists = bool(using[b] & ~other_gaps)
+                    if host.has_edge(u, v):
+                        mapping = probe.through_edge(u, v)
+                    else:
+                        mapping = probe.through_added(u, v)
+                    assert (mapping is not None) == exists, (pattern, host, (u, v))
+                    if mapping is None:
+                        continue
+                    assert len(mapping) == len(set(mapping)) == pattern.n
+                    assert set(mapping) <= set(range(n))
+                    image = {tuple(sorted((mapping[x], mapping[y]))) for x, y in pattern.edges()}
+                    assert (u, v) in image
+                    assert all(p == (u, v) or host.has_edge(*p) for p in image)
 
 
 def test_one_anchor_per_arc_orbit():

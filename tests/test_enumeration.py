@@ -1,4 +1,5 @@
 import hashlib
+from itertools import islice
 
 import pytest
 
@@ -15,6 +16,7 @@ from domsat import (
     path_graph,
     star_graph,
 )
+from domsat.enumeration import levels
 from domsat.oracle import (
     labeled_class_counts,
     level_counts,
@@ -32,7 +34,8 @@ KNOWN_TREES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
 def test_class_counts_match_known_totals():
     for n in range(1, 7):
         total = KNOWN_TOTALS[n]
-        counts = [class_count(n, m) for m in range(n * (n - 1) // 2 + 1)]
+        counts = [len(level) for level in levels(n)]
+        assert len(counts) == n * (n - 1) // 2 + 1
         assert sum(counts) == total
         # complementation: count(n, m) == count(n, C(n,2) - m)
         assert counts == counts[::-1]
@@ -40,33 +43,33 @@ def test_class_counts_match_known_totals():
 
 def test_seven_vertex_total():
     # 1044 graphs on 7 vertices; exercises deep levels of the generator
-    counts = [class_count(7, m) for m in range(22)]
+    counts = [len(level) for level in levels(7)]
+    assert len(counts) == 22
     assert sum(counts) == 1044
     assert counts == counts[::-1]
 
 
-def _levels_extending_every_non_edge(n):
+def _extend_every_non_edge(n):
     """Levels built without orbit pruning: every one-edge extension of
     every class is canonicalised."""
-    levels = [[empty_graph(n)]]
+    built = [[empty_graph(n)]]
     for _ in range(n * (n - 1) // 2):
         seen = set()
         nxt = []
-        for parent in levels[-1]:
+        for parent in built[-1]:
             for e in parent.non_edges():
                 child = canonical_form(parent.add_edge(*e))
                 if child not in seen:
                     seen.add(child)
                     nxt.append(child)
         nxt.sort(key=graph6_encode)
-        levels.append(nxt)
-    return levels
+        built.append(nxt)
+    return built
 
 
 def test_orbit_pruned_levels_equal_full_extension():
     for n in range(1, 7):
-        levels = [list(enumerate_graphs(n, m)) for m in range(n * (n - 1) // 2 + 1)]
-        assert levels == _levels_extending_every_non_edge(n)
+        assert list(levels(n)) == _extend_every_non_edge(n)
 
 
 def test_seven_vertex_stream_digest():
@@ -75,9 +78,15 @@ def test_seven_vertex_stream_digest():
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "5e89f2e4a4c60b7e"
 
 
-def test_eight_vertex_stream_digest():
+@pytest.fixture(scope="module")
+def eight_vertex_walk():
+    # one walk on 8 vertices, shared by the digest and the Burnside counts
+    return list(levels(8))
+
+
+def test_eight_vertex_stream_digest(eight_vertex_walk):
     # pins the 12 346 classes on 8 vertices, their canonical labels and the stream order
-    text = "\n".join(graph6_encode(g) for g in all_classes(8))
+    text = "\n".join(graph6_encode(g) for level in eight_vertex_walk for g in level)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "8f49326fb18e2d9f"
 
 
@@ -120,11 +129,7 @@ def test_tree_counts():
 
 def test_oracle_counts_agree_with_fast_path():
     for n in (4, 5, 6):
-        fast = {
-            m: class_count(n, m)
-            for m in range(n * (n - 1) // 2 + 1)
-            if class_count(n, m)
-        }
+        fast = {m: len(level) for m, level in enumerate(levels(n)) if level}
         assert labeled_class_counts(n) == fast
 
 
@@ -138,10 +143,11 @@ def test_burnside_level_counts_totals_and_complement_symmetry():
 
 @pytest.mark.parametrize("n, m_max", [(1, 0), (2, 1), (3, 3), (4, 6), (5, 10), (6, 15),
                                       (7, 21), (8, 28), (9, 10), (10, 8)])
-def test_burnside_level_counts_match_enumeration(n, m_max):
+def test_burnside_level_counts_match_enumeration(n, m_max, request):
     # every level for n <= 8; the low levels, which the searches sweep, above
+    walk = request.getfixturevalue("eight_vertex_walk") if n == 8 else levels(n)
     counts = level_counts(n)
-    assert [class_count(n, m) for m in range(m_max + 1)] == counts[: m_max + 1]
+    assert [len(level) for level in islice(walk, m_max + 1)] == counts[: m_max + 1]
 
 
 def test_perm_canonical_key_is_class_invariant():

@@ -1,5 +1,5 @@
-import json
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -8,7 +8,6 @@ from domsat import (
     are_isomorphic,
     complete_graph,
     density_profile,
-    enumerate_graphs,
     graph6_decode,
     graph6_encode,
     is_dominated,
@@ -18,7 +17,7 @@ from domsat import (
     star_graph,
 )
 from domsat import enumeration, search
-from domsat.search import SEARCH_PREDICATES
+from domsat.enumeration import levels
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -88,8 +87,8 @@ def test_pruning_is_sound(pattern, predicate, pool):
     # reference: the same level sweep with no degree floor and no sweep start
     f = pool[pattern]
     for n in range(f.n, 7):
-        for m in range(1 if predicate == "dom-sat" else 0, n * (n - 1) // 2 + 1):
-            passing = [g for g in enumerate_graphs(n, m) if run_predicate(predicate, g, f).verdict]
+        for m, level in islice(enumerate(levels(n)), 1 if predicate == "dom-sat" else 0, None):
+            passing = [g for g in level if run_predicate(predicate, g, f).verdict]
             if passing:
                 break
         res = min_edges(f, n, predicate)
@@ -136,15 +135,25 @@ def test_domination_monotonicity(pool):
             )
 
 
-def test_cold_and_warm_levels_give_identical_results():
-    # the per-process level store is the only cache: a sweep over freshly
-    # built levels and one over levels already built must agree exactly
-    for predicate in SEARCH_PREDICATES:
-        enumeration._levels.pop(5, None)
-        enumeration._frontier_gens.pop(5, None)
-        cold = json.dumps(min_edges(K3, 5, predicate).to_json_dict())
-        warm = json.dumps(min_edges(K3, 5, predicate).to_json_dict())
-        assert warm == cold
+def test_min_edges_makes_one_walk_up_to_its_minimum(monkeypatch):
+    pulled = []
+
+    def counted_walk(n):
+        for level in levels(n):
+            pulled.append(len(level))
+            yield level
+
+    monkeypatch.setattr(search, "levels", counted_walk)
+    res = min_edges(K3, 6, "dom-sat")
+    assert res.min_edges == 8
+    assert len(pulled) == res.min_edges + 1
+
+
+def test_enumeration_keeps_no_module_state():
+    min_edges(K3, 6, "dom-sat")
+    held = [name for name, value in vars(enumeration).items()
+            if isinstance(value, (dict, list, set)) and not name.startswith("__")]
+    assert held == []
 
 
 def test_search_result_json_round_trip():
