@@ -10,6 +10,16 @@ is refined only by the two cells its individualization made, {v} and
 the rest of the target cell, since its parent's partition is already
 equitable with respect to every other cell.
 
+Swapping twins, two vertices with the same neighbours apart from each
+other, is an automorphism known before any branching.  So the search
+starts with the swaps of consecutive twins, skips a sibling whose twin
+it has tried, and splits a cell of mutual twins into singletons at once:
+every other branch through that cell is an image of this leftmost path
+under twin swaps, and no other cell splits, since a vertex outside a
+twin class sees all of it or none.  A path takes each class's least
+remaining twin, so the swaps among the rest fix its prefix and reach
+that twin's whole orbit.
+
 One search yields the canonical form, generators of Aut and |Aut|
 (McKay and Piperno, "Practical graph isomorphism, II", J. Symbolic
 Comput. 60, 2014).  Take the path v_1..v_d to the first leaf with the
@@ -137,10 +147,13 @@ def _pair_orbit_firsts(
 def _canonical_search(
     g: Graph,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Each vertex's position (old -> new) at the least leaf, that leaf's
-    encoding (the canonical form's rows), the automorphisms of g found
-    when leaves collided, and the vertices individualized on the way to
-    the first least leaf.
+    """Each vertex's position (old -> new) at the first least leaf, that
+    leaf's encoding (the canonical form's rows), automorphisms of g that
+    generate Aut(g), and the vertices individualized on the way to that
+    leaf.  The automorphisms are the transpositions of consecutive twins
+    and those found when leaves collided.  Only the encoding, and |Aut|
+    read off the path, are isomorphism invariants: the positions are one
+    of |Aut(g)| equally good choices.
 
     The last result is cached, so the readers below share one search
     when they ask about the same graph in a row."""
@@ -150,13 +163,43 @@ def _canonical_search(
     best_pos: list[int] | None = None
     best_fixed: tuple[int, ...] = ()
     autos: list[tuple[int, ...]] = []
+    root = _refine(rows, [g.vertex_mask], [g.vertex_mask])
+    # twins[v]: the class of v's twins, v included, or 0 if it has none.
+    # False twins have equal rows, true twins equal rows once each one's
+    # own bit is set; an automorphism maps a root cell onto itself, so
+    # twins share one
+    twins = [0] * n
+    for cell in root:
+        if cell & (cell - 1):
+            classes: dict[tuple[bool, int], int] = {}
+            for v in _bits(cell):
+                for key in ((False, rows[v]), (True, rows[v] | 1 << v)):
+                    classes[key] = classes.get(key, 0) | 1 << v
+            for members in classes.values():
+                ones = list(_bits(members))
+                for a, b in zip(ones, ones[1:]):
+                    p = list(range(n))
+                    p[a], p[b] = b, a
+                    autos.append(tuple(p))
+                    twins[a] = twins[b] = members
 
     def descend(cells: list[int], queue: list[int], fixed: tuple[int, ...]) -> int:
         """Search below fixed, refining cells by queue; return the depth to
         resume at (n: no jump)."""
         nonlocal best_enc, best_pos, best_fixed
         cells = _refine(rows, cells, queue)
-        target = next((c for c in cells if c & (c - 1)), 0)
+        while True:
+            target = next((c for c in cells if c & (c - 1)), 0)
+            low = target & -target
+            if not target or target & ~twins[low.bit_length() - 1]:
+                break
+            # mutual twins: below here every branch is the image of the
+            # leftmost one under twin swaps, and individualizing a twin
+            # splits no other cell, so take that path at once
+            idx = cells.index(target)
+            ones = list(_bits(target))
+            cells[idx:idx + 1] = [1 << v for v in ones]
+            fixed += tuple(ones[:-1])
         if not target:
             pos = [0] * n
             for i, c in enumerate(cells):
@@ -176,20 +219,23 @@ def _canonical_search(
         idx = cells.index(target)
         rest = cells[idx + 1:]
         head = cells[:idx]
-        tried: list[int] = []
+        tried = 0  # the siblings tried so far, as a mask
         # orbit roots under the automorphisms fixing the prefix; autos only
         # grows, so they change only when it has grown since the last sibling
         roots: list[int] | None = None
         known = 0
         for v in _bits(target):
+            # swapping v with a tried twin fixes the prefix
+            if twins[v] & tried:
+                continue
             if tried and autos:
                 if len(autos) != known:
                     known = len(autos)
                     gens = [p for p in autos if all(p[x] == x for x in fixed)]
                     roots = _orbit_roots(n, gens) if gens else None
-                if roots is not None and any(roots[v] == roots[u] for u in tried):
+                if roots is not None and any(roots[v] == roots[u] for u in _bits(tried)):
                     continue
-            tried.append(v)
+            tried |= 1 << v
             # cells is equitable, so in the child only these two can split
             split = [1 << v, target & ~(1 << v)]
             depth = descend(head + split + rest, split, fixed + (v,))
@@ -197,7 +243,7 @@ def _canonical_search(
                 return depth
         return n
 
-    descend([g.vertex_mask], [g.vertex_mask], ())
+    descend(root, [], ())
     # descend holds itself through its closure; breaking that cycle frees
     # the search's lists now instead of at the next cycle collection
     del descend
@@ -206,7 +252,9 @@ def _canonical_search(
 
 
 def canonical_relabeling(g: Graph) -> tuple[int, ...]:
-    """Permutation old -> new realizing the canonical form."""
+    """Permutation old -> new realizing the canonical form: one of the
+    |Aut(g)| that do, chosen by the search, so only the form it yields
+    is stable; a change to the search may return another."""
     return _canonical_search(g)[0]
 
 
@@ -223,7 +271,10 @@ def canonical_form_with_generators(g: Graph) -> tuple[Graph, list[tuple[int, ...
     """canonical_form(g) and automorphisms of it that the search found.
 
     The automorphisms are permutations of the canonical labels, and they
-    generate its whole automorphism group.
+    generate its whole automorphism group.  Which generators come back
+    depends on the search (twin swaps, then automorphisms found where
+    leaves collided), so only the group they generate, with the form
+    and |Aut|, is stable.
     """
     pos, _, autos, _ = _canonical_search(g)
     order = sorted(range(g.n), key=pos.__getitem__)  # old vertex at each new label

@@ -13,10 +13,12 @@ the test: every class is produced exactly once and needs no
 deduplication.  The key is an isomorphism invariant, so most children
 are rejected before they are canonically labelled.  Each automorphism
 group, the empty graph's too, comes as the generators that the
-canonical labelling search found, and both orbit steps call canon's
-pair-orbit routine (see canon.py).  levels(n) walks the levels in
-graph6 order and holds only the level it is extending and that level's
-generators; each caller makes its own walk, and nothing outlives it.
+canonical labelling search found (twin swaps and the automorphisms its
+leaves gave), and both orbit steps call canon's pair-orbit routine (see
+canon.py); they depend only on the group, not on which generators.
+levels(n) walks the levels in graph6 order and holds only the level it
+is extending and that level's generators; each caller makes its own
+walk, and nothing outlives it.
 
 The independent anti-hallucination oracle lives in oracle.py and shares
 no code with this path.

@@ -29,6 +29,9 @@ DEFINITIONS = "tests/test_predicates.py::test_predicates_match_their_definitions
 ANCHORS = "for x, y in _pair_orbit_firsts(arcs, _canonical_search(pattern)[2])\n"
 PRUNING = "tests/test_search.py::test_pruning_is_sound"
 CHILD = "depth = descend(head + split + rest, split, fixed + (v,))"
+TWIN_PATH = "fixed += tuple(ones[:-1])"
+FORMS = "tests/test_canon.py::test_forms_and_orders_digest"
+NAMED_AUT = "tests/test_canon.py::test_automorphism_orders_named"
 
 
 class Mutant(NamedTuple):
@@ -93,6 +96,31 @@ MUTANTS = (
         "child-refined-by-singleton-only", "src/domsat/canon.py",
         CHILD, CHILD.replace(", split,", ", [1 << v],"),
         ("tests/test_canon.py::test_canonical_search_digest",),
+    ),
+    # a cell of mutual twins put on the path without its second-to-last vertex
+    Mutant(
+        "twin-path-one-short", "src/domsat/canon.py",
+        TWIN_PATH, TWIN_PATH.replace("[:-1]", "[:-2]"), (NAMED_AUT,),
+    ),
+    # ... or with its last vertex in place of its first
+    Mutant(
+        "twin-path-from-second", "src/domsat/canon.py",
+        TWIN_PATH, TWIN_PATH.replace("[:-1]", "[1:]"), (NAMED_AUT,),
+    ),
+    # every sibling with a twin skipped, tried twin or not
+    Mutant(
+        "twin-prune-without-tried", "src/domsat/canon.py",
+        "if twins[v] & tried:", "if twins[v]:", (FORMS,),
+    ),
+    # swaps of every other twin, which do not generate the twins' symmetric group
+    Mutant(
+        "twin-swaps-skip-one", "src/domsat/canon.py",
+        "zip(ones, ones[1:])", "zip(ones, ones[2:])", (NAMED_AUT,),
+    ),
+    # a cell split at once into singletons when its least vertex has no twin
+    Mutant(
+        "twin-step-on-non-twin-cells", "src/domsat/canon.py",
+        "target & ~twins[", "target & twins[", (FORMS,),
     ),
     Mutant(
         "child-test-always-true", "src/domsat/enumeration.py",

@@ -16,7 +16,9 @@ from domsat import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     from_edges,
+    join,
     path_graph,
     star_graph,
 )
@@ -38,6 +40,7 @@ from domsat.constructions import (
     path_component_size,
     path_family,
     star_family,
+    turan,
 )
 from domsat.embed import count_embeddings
 from domsat.enumeration import all_classes
@@ -216,7 +219,24 @@ def test_are_isomorphic():
     assert not are_isomorphic(path_graph(3), path_graph(4))
 
 
-CANONICAL_SEARCH_DIGEST = "f93df0151c0c7d961b5f1b967f64c4e9fc1266713f550e16a9e3569ac2ebeca8"
+FORMS_AND_ORDERS_DIGEST = "7494e1a6903a3fdda73b535ea865a17a7e4346b6745fd97daa8f587de9d6ae5f"
+
+
+def test_forms_and_orders_digest():
+    # pins only what is an isomorphism invariant: the canonical form and
+    # |Aut|, of every small class, every certify host and a relabelling
+    # of each; generators, paths and positions may change, these may not
+    rnd = random.Random(2014)
+    h = hashlib.sha256()
+    for g in [*_small_classes(7, 7), *_certify_hosts()]:
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        for x in (g, g.relabel(perm)):
+            h.update(f"{canonical_graph6(x)} {automorphism_order(x)}\n".encode())
+    assert h.hexdigest() == FORMS_AND_ORDERS_DIGEST
+
+
+CANONICAL_SEARCH_DIGEST = "03048473ffcd56bcf46d249051bffcebbfbb84db04c7fca7d97206a1fde3fbf6"
 
 
 def test_canonical_search_digest():
@@ -299,6 +319,67 @@ def test_large_certify_hosts_keep_form_and_order_under_relabelling():
     assert len(hosts) == 20
     for g in hosts:
         want = canonical_graph6(g), automorphism_order(g)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rnd.shuffle(perm)
+            h = g.relabel(perm)
+            assert (canonical_graph6(h), automorphism_order(h)) == want, (g, perm)
+
+
+@pytest.mark.parametrize(
+    "g, leaves, order",
+    [
+        (empty_graph(40), 1, factorial(40)),
+        (complete_graph(40), 1, factorial(40)),
+        (star_graph(39), 1, factorial(39)),
+        # the side swap is no product of twin swaps, so a second leaf finds it
+        (complete_bipartite(20, 20), 2, 2 * factorial(20) ** 2),
+    ],
+    ids=["E40", "K40", "S39", "K20,20"],
+)
+def test_twin_graphs_reach_one_leaf_per_non_twin_symmetry(g, leaves, order, monkeypatch):
+    # every leaf encodes its partition with _relabelled, once
+    encode = canon._relabelled
+    seen = 0
+
+    def counted(rows, pos):
+        nonlocal seen
+        seen += 1
+        return encode(rows, pos)
+
+    monkeypatch.setattr(canon, "_relabelled", counted)
+    perm = list(range(g.n))
+    random.Random(g.n).shuffle(perm)
+    h = g.relabel(perm)
+    form = canonical_form(g)
+    _clear_canon_caches()
+    seen = 0
+    assert (canonical_form(h), automorphism_order(h)) == (form, order)
+    assert seen == leaves
+
+
+def _twin_heavy_hosts():
+    """Hosts on 40..64 vertices made mostly of twins, each with its |Aut|.
+    dom_turan(n, r) is K_{r-2} joined to a perfect matching on n - r + 2
+    vertices when that is even."""
+    f = factorial
+    return [
+        (dom_turan(60, 6), f(4) * 2 ** 28 * f(28)),
+        (dom_turan(41, 3), 2 ** 20 * f(20)),
+        (turan(64, 5), f(4) * f(13) ** 4 * f(12)),
+        (disjoint_union([complete_graph(5)] * 8), f(5) ** 8 * f(8)),
+        (disjoint_union([star_graph(7)] * 8), f(7) ** 8 * f(8)),
+        (star_family(45, 3), (2 * 6) ** 9 * f(9)),
+        (join(complete_graph(10), empty_graph(30)), f(10) * f(30)),
+        (complete_bipartite(20, 30), f(20) * f(30)),
+    ]
+
+
+def test_twin_heavy_hosts_keep_form_and_order_under_relabelling():
+    rnd = random.Random(64)
+    for g, order in _twin_heavy_hosts():
+        want = canonical_graph6(g), order
+        assert automorphism_order(g) == order, g
         for _ in range(3):
             perm = list(range(g.n))
             rnd.shuffle(perm)

@@ -336,3 +336,14 @@ def test_usage_errors_exit_two():
     assert out.returncode == 2
     out = run_cli("check", "--pattern", "Bw", "--predicate", "free")
     assert out.returncode == 2
+
+
+BATTERY_FAST_DIGEST = "22d9c4520a55b54d5ba49b72a45ccbe8a3ca24c97763d3da056a9dbfe284443d"
+
+
+def test_battery_fast_subset_digest():
+    # stdout, stderr and exit codes of the battery's fast subset, in one
+    # process; the full battery is `python tests/battery.py`
+    import battery
+
+    assert battery.digest(battery.FAST) == BATTERY_FAST_DIGEST
