@@ -12,13 +12,13 @@ equitable with respect to every other cell.
 
 Swapping twins, two vertices with the same neighbours apart from each
 other, is an automorphism known before any branching.  So the search
-starts with the swaps of consecutive twins, skips a sibling whose twin
-it has tried, and splits a cell of mutual twins into singletons at once:
-every other branch through that cell is an image of this leftmost path
-under twin swaps, and no other cell splits, since a vertex outside a
-twin class sees all of it or none.  A path takes each class's least
-remaining twin, so the swaps among the rest fix its prefix and reach
-that twin's whole orbit.
+starts with the swaps of consecutive twins and splits a cell of mutual
+twins into singletons at once: every other branch through that cell is
+an image of this leftmost path under twin swaps, and no other cell
+splits, since a vertex outside a twin class sees all of it or none.  A
+path takes each class's members least first, so the swaps among the
+rest fix its prefix, and the orbit test below prunes every sibling that
+is a twin of one already tried.
 
 One search yields the canonical form, generators of Aut and |Aut|
 (McKay and Piperno, "Practical graph isomorphism, II", J. Symbolic
@@ -225,9 +225,6 @@ def _canonical_search(
         roots: list[int] | None = None
         known = 0
         for v in _bits(target):
-            # swapping v with a tried twin fixes the prefix
-            if twins[v] & tried:
-                continue
             if tried and autos:
                 if len(autos) != known:
                     known = len(autos)
@@ -297,12 +294,9 @@ def _base_orbits(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
     _, _, gens, path = _canonical_search(g)
     out = []
     for v in path:
-        if gens:
-            roots = _orbit_roots(g.n, gens)
-            out.append((v, tuple(w for w in range(g.n) if roots[w] == roots[v])))
-            gens = tuple(p for p in gens if p[v] == v)
-        else:
-            out.append((v, (v,)))
+        roots = _orbit_roots(g.n, gens)
+        out.append((v, tuple(w for w in range(g.n) if roots[w] == roots[v])))
+        gens = tuple(p for p in gens if p[v] == v)
     return tuple(out)
 
 

@@ -228,8 +228,7 @@ class _Host:
 
     def __init__(self, pattern: Graph, host: Graph) -> None:
         plan = self.plan = _plan(pattern)
-        # a pattern with more vertices than the host has no copy anywhere
-        self.anchors = plan.anchors if pattern.n <= host.n else ()
+        self.anchors = plan.anchors
         self.rows = list(host.rows)
         degs = self.degs = [row.bit_count() for row in host.rows]
         # deg_ok[pv] = host vertices with degree >= deg(pv)

@@ -78,7 +78,7 @@ def levels(n: int) -> Iterator[list[Graph]]:
                 if top[-1] != (u, v):
                     continue
                 child = parent.add_edge(u, v)
-                if len(top) == 1 or _in_canonical_orbit(child, top):
+                if _in_canonical_orbit(child, top):
                     made.append(canonical_form_with_generators(child))
         made.sort(key=lambda entry: graph6_encode(entry[0]))
         level = made

@@ -135,6 +135,8 @@ class Graph:
         return _trusted_graph(self.n, tuple(rows))
 
     def remove_edge(self, u: int, v: int) -> "Graph":
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"edge ({u}, {v}) outside 0..{self.n - 1}")
         if not self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) not present")
         rows = list(self.rows)

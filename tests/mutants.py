@@ -31,6 +31,7 @@ PRUNING = "tests/test_search.py::test_pruning_is_sound"
 CHILD = "depth = descend(head + split + rest, split, fixed + (v,))"
 TWIN_PATH = "fixed += tuple(ones[:-1])"
 FORMS = "tests/test_canon.py::test_forms_and_orders_digest"
+JUMP = "                return c\n"
 NAMED_AUT = "tests/test_canon.py::test_automorphism_orders_named"
 
 
@@ -107,11 +108,6 @@ MUTANTS = (
         "twin-path-from-second", "src/domsat/canon.py",
         TWIN_PATH, TWIN_PATH.replace("[:-1]", "[1:]"), (NAMED_AUT,),
     ),
-    # every sibling with a twin skipped, tried twin or not
-    Mutant(
-        "twin-prune-without-tried", "src/domsat/canon.py",
-        "if twins[v] & tried:", "if twins[v]:", (FORMS,),
-    ),
     # swaps of every other twin, which do not generate the twins' symmetric group
     Mutant(
         "twin-swaps-skip-one", "src/domsat/canon.py",
@@ -122,9 +118,48 @@ MUTANTS = (
         "twin-step-on-non-twin-cells", "src/domsat/canon.py",
         "target & ~twins[", "target & twins[", (FORMS,),
     ),
+    # siblings pruned by automorphisms that move the prefix
+    Mutant(
+        "orbit-test-without-prefix-filter", "src/domsat/canon.py",
+        "gens = [p for p in autos if all(p[x] == x for x in fixed)]", "gens = list(autos)",
+        ("tests/test_canon.py::test_orbit_test_uses_only_automorphisms_fixing_the_prefix",),
+    ),
+    # a repeated leaf jumps back to the root, skipping the ancestor's other children
+    Mutant(
+        "jump-back-to-root", "src/domsat/canon.py", JUMP, JUMP.replace("c\n", "0\n"),
+        ("tests/test_canon.py::test_automorphism_order_equals_self_embedding_count",),
+    ),
+    # ... or one level short of the common ancestor, searching more than it must
+    Mutant(
+        "jump-back-one-level-short", "src/domsat/canon.py", JUMP, JUMP.replace("c\n", "c + 1\n"),
+        ("tests/test_canon.py::test_canonical_search_digest",),
+    ),
+    Mutant(
+        "vertex-cuts-one-size-short", "src/domsat/graphs.py",
+        "    full = g.vertex_mask\n    for size in range(k):\n",
+        "    full = g.vertex_mask\n    for size in range(k - 1):\n",
+        ("tests/test_graphs.py::test_k_connected_examples",),
+    ),
+    Mutant(
+        "edge-cuts-one-size-short", "src/domsat/graphs.py",
+        "    for size in range(k):\n        for cut in combinations(g.edges(), size):\n",
+        "    for size in range(k - 1):\n        for cut in combinations(g.edges(), size):\n",
+        ("tests/test_graphs.py::test_k_edge_connected_examples",),
+    ),
+    Mutant(
+        "lemma-path-search-never-finds", "src/domsat/verify.py",
+        "    return _search(g.rows, tuple(range(j)), back, masks, [0] * j, 0, 0)\n",
+        "    return False\n",
+        ("tests/test_predicates.py::test_lemma_path_search_matches_vertex_sequences",),
+    ),
+    Mutant(
+        "star-without-centre-degree", "src/domsat/graphs.py",
+        " and g.n - 1 in g.degrees()", "",
+        ("tests/test_graphs.py::test_is_star_matches_isomorphism_to_a_star",),
+    ),
     Mutant(
         "child-test-always-true", "src/domsat/enumeration.py",
-        "if len(top) == 1 or _in_canonical_orbit(child, top):", "if True:",
+        "if _in_canonical_orbit(child, top):", "if True:",
         ("tests/test_enumeration.py::test_burnside_level_counts_match_enumeration",),
     ),
     Mutant(
@@ -136,10 +171,13 @@ MUTANTS = (
 
 
 def problems() -> list[str]:
-    """Entries whose text does not occur exactly once, or that name a
-    test (or a parametrized id) the test file does not define."""
+    """Entries whose text does not occur exactly once, whose replacement
+    leaves the text as it is (a mutant that can only survive), or that
+    name a test (or a parametrized id) the test file does not define."""
     found = []
     for m in MUTANTS:
+        if m.replacement == m.text:
+            found.append(f"{m.name}: its replacement equals its text")
         times = (ROOT / m.file).read_text().count(m.text)
         if times != 1:
             found.append(f"{m.name}: its text occurs {times} times in {m.file}")

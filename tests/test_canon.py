@@ -18,6 +18,7 @@ from domsat import (
     disjoint_union,
     empty_graph,
     from_edges,
+    graph6_decode,
     join,
     path_graph,
     star_graph,
@@ -161,6 +162,36 @@ def test_automorphism_order_equals_self_embedding_count():
             rnd.shuffle(perm)
             h = g.relabel(perm)
             assert automorphism_order(g) == automorphism_order(h) == count_embeddings(g, g)
+
+
+@pytest.mark.parametrize("text, order", [("GAff@o", 12), ("G]MZUK", 4)])
+def test_orbit_test_uses_only_automorphisms_fixing_the_prefix(text, order):
+    # a cubic and a 4-regular labelling on which pruning a sibling by an
+    # automorphism that moves the prefix halves |Aut|
+    g = graph6_decode(text)
+    assert automorphism_order(g) == count_embeddings(g, g) == order
+
+
+def _twin_classes(g):
+    """Classes of vertices with the same neighbours apart from each other."""
+    rows = g.rows
+    classes: list[list[int]] = []
+    for u in range(g.n):
+        if not any(u in c for c in classes):
+            classes.append([v for v in range(u, g.n) if rows[u] & ~(1 << v) == rows[v] & ~(1 << u)])
+    return classes
+
+
+def test_base_paths_take_twins_least_first():
+    # a path meets each twin class in its least members, ascending, so the
+    # swaps of the class's remaining consecutive twins fix its prefix and
+    # the orbit test prunes every sibling twin of a tried one
+    hosts = [*_small_classes(7, 7), *_certify_hosts(), *(g for g, _ in _twin_heavy_hosts())]
+    for g in hosts:
+        path = _canonical_search(g)[3]
+        for c in _twin_classes(g):
+            met = [v for v in path if v in c]
+            assert met == c[:len(met)], (g, path, c)
 
 
 def _clear_canon_caches():

@@ -150,6 +150,7 @@ K3, K40, K30 = (domsat.complete_graph(n) for n in (3, 40, 30))
         lambda: domsat.class_count(4, 7),
         lambda: domsat.class_count(11, 0),
         lambda: domsat.class_count(4, -1),
+        lambda: K3.remove_edge(3, 0),
     ],
     ids=[
         "subgraph-empty", "cycle-2", "star-0", "join-past-64", "union-past-64",
@@ -158,7 +159,7 @@ K3, K40, K30 = (domsat.complete_graph(n) for n in (3, 40, 30))
         "upper-edges-n-below-r",
         "star-candidates-1", "path-density-2", "cycle-density-3", "star-density-1",
         "star-plus-density-3", "kt-path-density-2", "class-count-m-7", "class-count-n-11",
-        "class-count-m-negative",
+        "class-count-m-negative", "remove-edge-outside",
     ],
 )
 def test_documented_input_errors_are_value_errors(call):
@@ -183,8 +184,16 @@ def test_mutation_ledger_entries_apply_and_name_tests():
     # runs no mutant: each text occurs once in its file, each test exists
     import mutants
 
-    assert len(mutants.MUTANTS) == len({m.name for m in mutants.MUTANTS}) == 18
+    assert len(mutants.MUTANTS) == len({m.name for m in mutants.MUTANTS}) == 24
     assert mutants.problems() == []
+
+
+def test_mutation_ledger_reports_an_entry_that_changes_nothing(monkeypatch):
+    import mutants
+
+    m = mutants.MUTANTS[0]
+    monkeypatch.setattr(mutants, "MUTANTS", (m._replace(replacement=m.text),))
+    assert mutants.problems() == [f"{m.name}: its replacement equals its text"]
 
 
 # -- the import boundary ---------------------------------------------------------
