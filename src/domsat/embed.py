@@ -228,7 +228,9 @@ class _Host:
 
     def __init__(self, pattern: Graph, host: Graph) -> None:
         plan = self.plan = _plan(pattern)
-        self.anchors = plan.anchors
+        # a pattern with more vertices than the host has no copy anywhere,
+        # and an anchored search would try every partial placement to see it
+        self.anchors = plan.anchors if pattern.n <= host.n else ()
         self.rows = list(host.rows)
         degs = self.degs = [row.bit_count() for row in host.rows]
         # deg_ok[pv] = host vertices with degree >= deg(pv)

@@ -30,7 +30,7 @@ from domsat import (
     tree_witness_ok,
     turan,
 )
-from domsat import predicates
+from domsat import embed, predicates
 from domsat.oracle import decide
 from domsat.predicates import PREDICATES
 
@@ -272,6 +272,18 @@ def test_one_host_set_up_per_predicate_call(pool, monkeypatch):
                 built.clear()
                 run_predicate(name, host, pattern)
                 assert built == [host], (name, host, pattern)
+
+
+def test_pattern_larger_than_host_starts_no_search(monkeypatch):
+    # every vertex of K20 minus an edge meets P21's degrees, so an anchored
+    # probe would try about e * 10! partial placements per anchor to fail
+    def search(*args):
+        raise AssertionError("an embedding search started")
+
+    monkeypatch.setattr(embed, "_search", search)
+    host = complete_graph(20).remove_edge(0, 1)
+    for name in PREDICATES:
+        assert run_predicate(name, host, path_graph(21)).verdict == (name == "free")
 
 
 def _digest_hosts():
