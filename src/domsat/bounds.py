@@ -101,11 +101,32 @@ def star_density_candidates(r: int) -> dict[str, Fraction]:
     }
 
 
-def _param(family: str, params: dict, name: str):
-    """params[name], or a ValueError naming the missing parameter."""
-    if name not in params:
-        raise ValueError(f"family {family!r} needs parameter {name!r}")
-    return params[name]
+def _path_density(r: int) -> Fraction:
+    if r % 2:
+        j = (r - 1) // 2
+        return 1 - Fraction(1, 3 * j)
+    j = (r - 2) // 2
+    return 1 - Fraction(1, 3 * j + 1)
+
+
+def _kt_path_sat_density(r: int) -> Fraction:
+    if r == 4:
+        return Fraction(1, 2)
+    if r % 2:
+        j = (r - 1) // 2
+        return 1 - Fraction(1, 2 * 2**j - 2)
+    j = (r - 2) // 2
+    return 1 - Fraction(1, 3 * 2**j - 2)
+
+
+# family: (its parameter, the parameter's least value, the density it gives)
+_DENSITIES = {
+    "path": ("r", 3, _path_density),
+    "cycle": ("r", 4, lambda r: (Fraction(1), 1 + Fraction(1, r - 3))),
+    "star": ("r", 2, lambda r: (Fraction(r - 1, 2), star_density_candidates(r)["construction-derived"])),
+    "star_plus": ("s", 4, lambda s: (1 - Fraction(1, s), 1 - Fraction(1, 2 * s - 2))),
+    "kt_path_sat": ("r", 3, _kt_path_sat_density),
+}
 
 
 def known_density(family: str, **params):
@@ -116,46 +137,16 @@ def known_density(family: str, **params):
     1 - 1/a_r for r = 3 and r >= 5; sat(n, P_4) is n/2 or (n+3)/2 by the
     parity of n (Kaszonyi and Tuza, J. Graph Theory 10, 1986), so 1/2.
     """
-    key = family.replace("-", "_")
-    if key == "path":
-        r = _param(family, params, "r")
-        if r < 3:
-            raise ValueError("need r >= 3")
-        if r % 2:
-            j = (r - 1) // 2
-            return 1 - Fraction(1, 3 * j)
-        j = (r - 2) // 2
-        return 1 - Fraction(1, 3 * j + 1)
-    if key == "cycle":
-        r = _param(family, params, "r")
-        if r < 4:
-            raise ValueError("need r >= 4")
-        return (Fraction(1), 1 + Fraction(1, r - 3))
-    if key == "star":
-        r = _param(family, params, "r")
-        if r < 2:
-            raise ValueError("need r >= 2")
-        return (
-            Fraction(r - 1, 2),
-            star_density_candidates(r)["construction-derived"],
-        )
-    if key == "star_plus":
-        s = _param(family, params, "s")
-        if s < 4:
-            raise ValueError("need s >= 4")
-        return (1 - Fraction(1, s), 1 - Fraction(1, 2 * s - 2))
-    if key == "kt_path_sat":
-        r = _param(family, params, "r")
-        if r < 3:
-            raise ValueError("need r >= 3")
-        if r == 4:
-            return Fraction(1, 2)
-        if r % 2:
-            j = (r - 1) // 2
-            return 1 - Fraction(1, 2 * 2**j - 2)
-        j = (r - 2) // 2
-        return 1 - Fraction(1, 3 * 2**j - 2)
-    raise ValueError(f"unknown family {family!r}")
+    row = _DENSITIES.get(family.replace("-", "_"))
+    if row is None:
+        raise ValueError(f"unknown family {family!r}")
+    name, least, density = row
+    if name not in params:
+        raise ValueError(f"family {family!r} needs parameter {name!r}")
+    value = params[name]
+    if value < least:
+        raise ValueError(f"need {name} >= {least}")
+    return density(value)
 
 
 def _certified_pair_order(f: Graph) -> tuple[int | None, int | None]:

@@ -5,7 +5,11 @@ partition to equitability, branch on the first non-singleton cell, and
 keep the lexicographically least adjacency encoding over all leaves.
 Automorphisms discovered when two leaves collide prune sibling branches
 (orbit pruning restricted to generators fixing the individualized
-prefix), which keeps highly symmetric graphs from exploding.  A child
+prefix), which keeps highly symmetric graphs from exploding.  Siblings
+are tried in ascending order and an automorphism fixing the prefix maps
+the target cell onto itself, so a sibling shares an orbit with one
+already tried exactly when it is not its orbit's least member: the test
+reads one orbit root.  A child
 is refined only by the two cells its individualization made, {v} and
 the rest of the target cell, since its parent's partition is already
 equitable with respect to every other cell.
@@ -17,8 +21,8 @@ twins into singletons at once: every other branch through that cell is
 an image of this leftmost path under twin swaps, and no other cell
 splits, since a vertex outside a twin class sees all of it or none.  A
 path takes each class's members least first, so the swaps among the
-rest fix its prefix, and the orbit test below prunes every sibling that
-is a twin of one already tried.
+rest fix its prefix, and the orbit test prunes every sibling that is a
+twin of one already tried.
 
 One search yields the canonical form, generators of Aut and |Aut|
 (McKay and Piperno, "Practical graph isomorphism, II", J. Symbolic
@@ -219,20 +223,17 @@ def _canonical_search(
         idx = cells.index(target)
         rest = cells[idx + 1:]
         head = cells[:idx]
-        tried = 0  # the siblings tried so far, as a mask
         # orbit roots under the automorphisms fixing the prefix; autos only
-        # grows, so they change only when it has grown since the last sibling
-        roots: list[int] | None = None
+        # grows, so they change only when it has grown since the last sibling,
+        # and the first sibling, target's least vertex, is its orbit's root
+        roots: Sequence[int] = range(n)
         known = 0
-        for v in _bits(target):
-            if tried and autos:
-                if len(autos) != known:
-                    known = len(autos)
-                    gens = [p for p in autos if all(p[x] == x for x in fixed)]
-                    roots = _orbit_roots(n, gens) if gens else None
-                if roots is not None and any(roots[v] == roots[u] for u in _bits(tried)):
-                    continue
-            tried |= 1 << v
+        for i, v in enumerate(_bits(target)):
+            if i and len(autos) != known:
+                known = len(autos)
+                roots = _orbit_roots(n, [p for p in autos if all(p[x] == x for x in fixed)])
+            if roots[v] != v:
+                continue
             # cells is equitable, so in the child only these two can split
             split = [1 << v, target & ~(1 << v)]
             depth = descend(head + split + rest, split, fixed + (v,))

@@ -243,13 +243,12 @@ class _Host:
 
     def _may_embed(self) -> bool:
         """False when the pattern has more vertices or edges than the
-        host, or a degree no host vertex meets."""
+        host.  A pattern degree no host vertex meets needs no test here:
+        order[0] has the largest pattern degree and the degree masks
+        shrink as the degree grows, so its mask is then empty and both
+        kernels stop at depth 0."""
         plan, degs = self.plan, self.degs
-        return (
-            len(plan.order) <= len(degs)
-            and plan.edge_count <= sum(degs) // 2
-            and all(self.deg_ok)
-        )
+        return len(plan.order) <= len(degs) and plan.edge_count <= sum(degs) // 2
 
     def first(self) -> tuple[int, ...] | None:
         """The first embedding in search order, or None."""

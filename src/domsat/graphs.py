@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 
@@ -100,6 +100,8 @@ class Graph:
         return sum(row.bit_count() for row in self.rows) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"edge ({u}, {v}) outside 0..{self.n - 1}")
         return bool(self.rows[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
@@ -125,8 +127,6 @@ class Graph:
     def add_edge(self, u: int, v: int) -> "Graph":
         if u == v:
             raise ValueError("cannot add a self-loop")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u}, {v}) outside 0..{self.n - 1}")
         if self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) already present")
         rows = list(self.rows)
@@ -135,8 +135,6 @@ class Graph:
         return _trusted_graph(self.n, tuple(rows))
 
     def remove_edge(self, u: int, v: int) -> "Graph":
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u}, {v}) outside 0..{self.n - 1}")
         if not self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) not present")
         rows = list(self.rows)
@@ -342,43 +340,46 @@ def bridges(g: Graph) -> list[tuple[int, int]]:
     return [e for e in g.edges() if len(components(g.remove_edge(*e))) > count]
 
 
+def _no_cut_below(k: int, items: Sequence, separates: Callable[[tuple], bool]) -> bool:
+    """True iff no set of fewer than k items separates.  Every such set is
+    tried, C(len(items), <k) of them, so the cost is exponential in k."""
+    if k < 0:
+        raise ValueError("connectivity order must be non-negative")
+    for size in range(k):
+        for cut in combinations(items, size):
+            if separates(cut):
+                return False
+    return True
+
+
 def is_k_connected(g: Graph, k: int) -> bool:
     """True iff g has more than k vertices and no vertex cut of size < k.
 
     K_n has no vertex cut, so it is (n-1)-connected and not n-connected;
-    every graph is 0-connected.  Every vertex set of size < k is tried as
-    a cut, C(n, <k) of them, so the cost is exponential in k.
+    every graph is 0-connected.
     """
-    if k < 0:
-        raise ValueError("connectivity order must be non-negative")
     if g.n <= k:
         return False
     full = g.vertex_mask
-    for size in range(k):
-        for cut in combinations(range(g.n), size):
-            mask = 0
-            for v in cut:
-                mask |= 1 << v
-            if len(components(g, full & ~mask)) >= 2:
-                return False
-    return True
+
+    def separates(cut: tuple[int, ...]) -> bool:
+        mask = sum(1 << v for v in cut)
+        return len(components(g, full & ~mask)) >= 2
+
+    return _no_cut_below(k, range(g.n), separates)
 
 
 def is_k_edge_connected(g: Graph, k: int) -> bool:
     """True iff no edge cut of size < k disconnects g.
 
     A single vertex cannot be disconnected by edge removal, so K_1 passes
-    for every k; a disconnected graph fails for every k >= 1.  Every edge
-    set of size < k is tried as a cut, C(m, <k) of them, so the cost is
-    exponential in k.
+    for every k; a disconnected graph fails for every k >= 1.
     """
-    if k < 0:
-        raise ValueError("connectivity order must be non-negative")
-    for size in range(k):
-        for cut in combinations(g.edges(), size):
-            h = g
-            for e in cut:
-                h = h.remove_edge(*e)
-            if not is_connected(h):
-                return False
-    return True
+
+    def separates(cut: tuple[tuple[int, int], ...]) -> bool:
+        h = g
+        for e in cut:
+            h = h.remove_edge(*e)
+        return not is_connected(h)
+
+    return _no_cut_below(k, g.edges(), separates)

@@ -121,8 +121,13 @@ MUTANTS = (
     # siblings pruned by automorphisms that move the prefix
     Mutant(
         "orbit-test-without-prefix-filter", "src/domsat/canon.py",
-        "gens = [p for p in autos if all(p[x] == x for x in fixed)]", "gens = list(autos)",
-        (NAMED_AUT,),
+        "_orbit_roots(n, [p for p in autos if all(p[x] == x for x in fixed)])",
+        "_orbit_roots(n, list(autos))", (NAMED_AUT,),
+    ),
+    # base orbits taken under every generator, not the stabilizer of the earlier points
+    Mutant(
+        "base-orbits-without-stabilizer-filter", "src/domsat/canon.py",
+        "gens = tuple(p for p in gens if p[v] == v)", "gens = tuple(gens)", (NAMED_AUT,),
     ),
     # a repeated leaf jumps back to the root, skipping the ancestor's other children
     Mutant(
@@ -130,16 +135,28 @@ MUTANTS = (
         ("tests/test_canon.py::test_automorphism_order_equals_self_embedding_count",),
     ),
     Mutant(
-        "vertex-cuts-one-size-short", "src/domsat/graphs.py",
-        "    full = g.vertex_mask\n    for size in range(k):\n",
-        "    full = g.vertex_mask\n    for size in range(k - 1):\n",
-        ("tests/test_graphs.py::test_k_connected_examples",),
+        "cuts-one-size-short", "src/domsat/graphs.py",
+        "for size in range(k):", "for size in range(k - 1):",
+        ("tests/test_graphs.py::test_k_connected_examples",
+         "tests/test_graphs.py::test_k_edge_connected_examples"),
     ),
     Mutant(
-        "edge-cuts-one-size-short", "src/domsat/graphs.py",
-        "    for size in range(k):\n        for cut in combinations(g.edges(), size):\n",
-        "    for size in range(k - 1):\n        for cut in combinations(g.edges(), size):\n",
-        ("tests/test_graphs.py::test_k_edge_connected_examples",),
+        "has-edge-without-range-check", "src/domsat/graphs.py",
+        "        if not (0 <= u < self.n and 0 <= v < self.n):\n"
+        "            raise ValueError(f\"edge ({u}, {v}) outside 0..{self.n - 1}\")\n", "",
+        ("tests/test_package.py::test_documented_input_errors_are_value_errors"
+         "[has-edge-negative]",),
+    ),
+    # copy, deepcopy and pickle bypass the validating constructor
+    Mutant(
+        "reduce-without-constructor", "src/domsat/graphs.py",
+        "return Graph, (self.n, self.rows)", "return object.__reduce__(self)",
+        ("tests/test_graphs.py::test_graph_copy_deepcopy_and_pickle_round_trip",),
+    ),
+    Mutant(
+        "known-density-rejects-least-value", "src/domsat/bounds.py",
+        "if value < least:", "if value <= least:",
+        ("tests/test_bounds.py::test_known_density_values",),
     ),
     Mutant(
         "lemma-path-search-never-finds", "src/domsat/verify.py",

@@ -45,6 +45,8 @@ def test_existence_examples():
     found = embedding_exists(path_graph(3), cycle_graph(4))
     assert found is not None and is_valid_embedding(path_graph(3), cycle_graph(4), found)
     assert embedding_exists(complete_graph(3), cycle_graph(4)) is None
+    # no host vertex meets the centre's degree: the search stops at its first step
+    assert embedding_exists(star_graph(5), cycle_graph(8)) is None
     found = embedding_exists(cycle_graph(5), PETERSEN)
     assert found is not None and is_valid_embedding(cycle_graph(5), PETERSEN, found)
     k3, k4 = complete_graph(3), complete_graph(4)
@@ -97,6 +99,8 @@ def test_count_examples():
     for host in (cycle_graph(5), star_graph(4), complete_graph(4)):
         assert count_copies(complete_graph(2), host) == host.edge_count
     assert count_embeddings(complete_graph(3), complete_graph(4)) == 24
+    assert count_copies(star_graph(5), cycle_graph(8)) == 0
+    assert count_embeddings(star_graph(5), cycle_graph(8)) == 0
 
 
 def test_count_petersen_cycles():

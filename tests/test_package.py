@@ -151,6 +151,8 @@ K3, K40, K30 = (domsat.complete_graph(n) for n in (3, 40, 30))
         lambda: domsat.class_count(11, 0),
         lambda: domsat.class_count(4, -1),
         lambda: K3.remove_edge(3, 0),
+        lambda: K3.has_edge(-1, 0),
+        lambda: K3.has_edge(3, 0),
     ],
     ids=[
         "subgraph-empty", "cycle-2", "star-0", "join-past-64", "union-past-64",
@@ -159,7 +161,8 @@ K3, K40, K30 = (domsat.complete_graph(n) for n in (3, 40, 30))
         "upper-edges-n-below-r",
         "star-candidates-1", "path-density-2", "cycle-density-3", "star-density-1",
         "star-plus-density-3", "kt-path-density-2", "class-count-m-7", "class-count-n-11",
-        "class-count-m-negative", "remove-edge-outside",
+        "class-count-m-negative", "remove-edge-outside", "has-edge-negative",
+        "has-edge-past-n",
     ],
 )
 def test_documented_input_errors_are_value_errors(call):
@@ -184,7 +187,7 @@ def test_mutation_ledger_entries_apply_and_name_tests():
     # runs no mutant: each text occurs once in its file, each test exists
     import mutants
 
-    assert len(mutants.MUTANTS) == len({m.name for m in mutants.MUTANTS}) == 24
+    assert len(mutants.MUTANTS) == len({m.name for m in mutants.MUTANTS}) == 27
     assert mutants.problems() == []
 
 
