@@ -149,18 +149,17 @@ def known_density(family: str, **params):
     return density(value)
 
 
-def _certified_pair_order(f: Graph) -> tuple[int | None, int | None]:
+def _certified_pair_order(f: Graph) -> tuple[int | None, int]:
     """Smallest clique order whose joined-pair blocks certify as f-dom-sat.
 
     The stated refined bridge bound is demonstrated by pairs of r-cliques
     joined by an edge, but that witness is not f-dominated for every
     bridged f (stars already break it), so the bound is only recorded for
     the smallest r >= the best bridge split whose two-block instance
-    passes the predicate.  Returns (certified r, stated minimal r).
+    passes the predicate.  f must have a bridge.  Returns (certified r,
+    or None when no order up to f.n certifies, and stated minimal r).
     """
     stated = bridge_pair_order(f)
-    if stated is None:
-        return None, None
     for r in range(stated, f.n + 1):
         if 4 * r > MAX_VERTICES:
             break
@@ -213,7 +212,7 @@ def structural_bounds(f: Graph) -> BoundSet:
             upper.append(
                 Bound(Fraction(certified_r * (certified_r - 1) + 1, 2 * certified_r), "bridge-pairs")
             )
-        if stated_r is not None and certified_r != stated_r:
+        if certified_r != stated_r:
             notes.append(
                 f"bridge-pairs witness with clique order {stated_r} fails its "
                 f"predicate for this pattern; smallest certifying order is "

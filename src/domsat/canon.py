@@ -39,15 +39,15 @@ since its leaf is discrete).  An explored sibling stops at its first leaf
 equal to the best leaf, records the automorphism there and jumps back to
 the common ancestor: the rest of its subtree is the image of one already
 searched, so the least leaf and the orbit argument are unchanged.
-canonical_form_with_generators hands the generators to enumeration,
-relabeled onto the canonical form.  _pair_orbit_roots applies them to
-vertex pairs: enumeration's non-edge orbits and canonical-edge test and
-embed's one anchor arc per orbit all call it.  _base_orbits gives the
-path with each v_k's orbit under its prefix's stabilizer:
-automorphism_order multiplies their sizes, and embed turns them into
-the order constraints that count each copy of a pattern once (Grochow
-and Kellis, "Network motif discovery using subgraph enumeration and
-symmetry-breaking", RECOMB 2007).
+Enumeration reads the positions, the form and the generators from one
+search and relabels the generators onto the form itself.
+_pair_orbit_roots applies them to vertex pairs: enumeration's non-edge
+orbits and canonical-edge test and embed's one anchor arc per orbit all
+call it.  _base_orbits gives the path with each v_k's orbit under its
+prefix's stabilizer: automorphism_order multiplies their sizes, and
+embed turns them into the order constraints that count each copy of a
+pattern once (Grochow and Kellis, "Network motif discovery using
+subgraph enumeration and symmetry-breaking", RECOMB 2007).
 """
 
 from __future__ import annotations
@@ -263,21 +263,6 @@ def canonical_form(g: Graph) -> Graph:
     relabeling of the input, and the map is idempotent.
     """
     return _trusted_graph(g.n, _canonical_search(g)[1])
-
-
-def canonical_form_with_generators(g: Graph) -> tuple[Graph, list[tuple[int, ...]]]:
-    """canonical_form(g) and automorphisms of it that the search found.
-
-    The automorphisms are permutations of the canonical labels, and they
-    generate its whole automorphism group.  Which generators come back
-    depends on the search (twin swaps, then automorphisms found where
-    leaves collided), so only the group they generate, with the form
-    and |Aut|, is stable.
-    """
-    pos, _, autos, _ = _canonical_search(g)
-    order = sorted(range(g.n), key=pos.__getitem__)  # old vertex at each new label
-    # a in g's labels becomes b = pos a pos^-1: b[pos[v]] = pos[a[v]]
-    return canonical_form(g), [tuple(pos[a[v]] for v in order) for a in autos]
 
 
 def canonical_graph6(g: Graph) -> str:

@@ -11,14 +11,17 @@ pair of canonical labels is least.  H minus its canonical edge has one
 class, so exactly one parent, and within it one non-edge orbit, passes
 the test: every class is produced exactly once and needs no
 deduplication.  The key is an isomorphism invariant, so most children
-are rejected before they are canonically labelled.  Each automorphism
-group, the empty graph's too, comes as the generators that the
-canonical labelling search found (twin swaps and the automorphisms its
-leaves gave), and both orbit steps call canon's pair-orbit routine (see
-canon.py); they depend only on the group, not on which generators.
-levels(n) walks the levels in graph6 order and holds only the level it
-is extending and that level's generators; each caller makes its own
-walk, and nothing outlives it.
+are rejected before they are canonically labelled.  A child that is
+labelled gets one canonical search, and _canonical_entry reads
+everything from it: the positions and automorphisms for the test and,
+when the child is kept, its canonical form and the generators (twin
+swaps and the automorphisms the search's leaves gave), which it
+relabels onto the form itself.  The empty graph goes through the same
+step with nothing to test.  Both orbit steps call canon's pair-orbit
+routine (see canon.py); they depend only on the group, not on which
+generators.  levels(n) walks the levels in graph6 order and holds only
+the level it is extending and that level's generators; each caller
+makes its own walk, and nothing outlives it.
 
 The independent anti-hallucination oracle lives in oracle.py and shares
 no code with this path.
@@ -30,9 +33,8 @@ from itertools import islice
 from typing import Iterator
 
 from .canon import _canonical_search, _pair_orbit_firsts, _pair_orbit_roots
-from .canon import canonical_form_with_generators
 from .graph6 import graph6_encode
-from .graphs import Graph, empty_graph, is_connected
+from .graphs import Graph, _trusted_graph, empty_graph, is_connected
 
 MAX_ENUM_VERTICES = 10
 
@@ -45,14 +47,25 @@ def _top_key_edges(deg: list[int], edges: list[tuple[int, int]]) -> list[tuple[i
     return [e for e, k in zip(edges, keys) if k == top]
 
 
-def _in_canonical_orbit(child: Graph, top: list[tuple[int, int]]) -> bool:
-    """Whether top's last edge lies in the Aut(child)-orbit of the
-    canonical edge: the edge of top whose pair of canonical labels is
-    least.  top must be closed under Aut(child)."""
-    pos, _, autos, _ = _canonical_search(child)
-    labelled = [(pos[a], pos[b]) if pos[a] < pos[b] else (pos[b], pos[a]) for a, b in top]
-    roots = _pair_orbit_roots(top, autos)
-    return roots[-1] == roots[labelled.index(min(labelled))]
+def _canonical_entry(
+    g: Graph, top: list[tuple[int, int]]
+) -> tuple[Graph, list[tuple[int, ...]]] | None:
+    """g's canonical form and generators of its automorphism group
+    relabelled onto it, from one canonical search; None when top's last
+    edge is not in the Aut(g)-orbit of the canonical edge, the edge of
+    top whose pair of canonical labels is least.  top must be closed
+    under Aut(g); an empty top asks nothing.  Only the group the
+    generators generate, with the form, is stable: which generators
+    come back depends on the search."""
+    pos, enc, autos, _ = _canonical_search(g)
+    if top:
+        labelled = [(pos[a], pos[b]) if pos[a] < pos[b] else (pos[b], pos[a]) for a, b in top]
+        roots = _pair_orbit_roots(top, autos)
+        if roots[-1] != roots[labelled.index(min(labelled))]:
+            return None
+    order = sorted(range(g.n), key=pos.__getitem__)  # old vertex at each new label
+    # a in g's labels becomes b = pos a pos^-1: b[pos[v]] = pos[a[v]]
+    return _trusted_graph(g.n, enc), [tuple(pos[a[v]] for v in order) for a in autos]
 
 
 def levels(n: int) -> Iterator[list[Graph]]:
@@ -61,7 +74,7 @@ def levels(n: int) -> Iterator[list[Graph]]:
     when asked for; a bad n raises at the first one."""
     if not 1 <= n <= MAX_ENUM_VERTICES:
         raise ValueError(f"enumeration supports 1..{MAX_ENUM_VERTICES} vertices")
-    level = [canonical_form_with_generators(empty_graph(n))]  # its own canonical form
+    level = [_canonical_entry(empty_graph(n), [])]  # its own canonical form
     while level:  # the complete graph's level has no children
         yield [g for g, _ in level]
         made = []
@@ -77,9 +90,9 @@ def levels(n: int) -> Iterator[list[Graph]]:
                 top = _top_key_edges(deg, edges + [(u, v)])
                 if top[-1] != (u, v):
                     continue
-                child = parent.add_edge(u, v)
-                if _in_canonical_orbit(child, top):
-                    made.append(canonical_form_with_generators(child))
+                entry = _canonical_entry(parent.add_edge(u, v), top)
+                if entry is not None:
+                    made.append(entry)
         made.sort(key=lambda entry: graph6_encode(entry[0]))
         level = made
 
@@ -105,6 +118,4 @@ def all_classes(n: int) -> Iterator[Graph]:
 
 def enumerate_trees(n: int) -> list[Graph]:
     """Tree isomorphism classes on n vertices."""
-    if n == 1:
-        return [empty_graph(1)]
     return [g for g in enumerate_graphs(n, n - 1) if is_connected(g)]

@@ -263,8 +263,6 @@ def join(g: Graph, h: Graph) -> Graph:
     g keeps labels 0..g.n-1, h is shifted to g.n..g.n+h.n-1.
     """
     n = g.n + h.n
-    if n > MAX_VERTICES:
-        raise ValueError(f"join would have {n} > {MAX_VERTICES} vertices")
     hmask = ((1 << h.n) - 1) << g.n
     gmask = (1 << g.n) - 1
     rows = [g.rows[v] | hmask for v in range(g.n)]
@@ -276,8 +274,6 @@ def disjoint_union(parts: Sequence[Graph]) -> Graph:
     if not parts:
         raise ValueError("disjoint union of nothing")
     n = sum(p.n for p in parts)
-    if n > MAX_VERTICES:
-        raise ValueError(f"union would have {n} > {MAX_VERTICES} vertices")
     rows: list[int] = []
     shift = 0
     for p in parts:

@@ -9,7 +9,8 @@ and with predicates.py (and embed and canon under it) is a cross-check.
 
 Class counting sweeps the whole 2^C(n,2) space, so it takes n <=
 MAX_ORACLE_VERTICES = 6; naive_min_edges, a rerun driven by edge-subset
-enumeration, accepts n <= 7, where only minima of a few edges finish.
+enumeration from 0 edges up (from 1 for dom-sat, whose hosts have an
+edge), accepts n <= 7, where only minima of a few edges finish.
 For larger n, level_counts gives the class counts by Burnside's lemma
 without building any graph.
 """
@@ -193,11 +194,12 @@ def naive_min_edges(
 
     Classes are deduplicated with the permutation-canonical key before
     testing, and each is decided from the definitions (decide); witnesses
-    come back as one labeled representative per class.  Only graphs with
-    at least one edge are swept.  Every edge subset up to the minimum is
-    keyed, and at n = 7 a key tries 5 040 permutations (12 ms): minima of
-    2, 3 and 4 edges took 1.1, 8.7 and 48 s there on a 2-core x86-64 host
-    (Python 3.11), each edge about five times the last.
+    come back as one labeled representative per class.  The sweep starts
+    at 0 edges, and at 1 for dom-sat, whose hosts have at least one edge
+    (the blanket assumption search.py makes too).  Every edge subset up
+    to the minimum is keyed, and at n = 7 a key tries 5 040 permutations
+    (12 ms): minima of 2, 3 and 4 edges took 1.1, 8.7 and 48 s there on a
+    2-core x86-64 host (Python 3.11), each edge about five times the last.
     """
     if not pattern.n <= n <= MAX_ORACLE_VERTICES + 1:
         raise ValueError(
@@ -207,7 +209,8 @@ def naive_min_edges(
     if predicate not in decide(pattern, pattern):  # keyed by the six names
         raise ValueError(f"unknown predicate {predicate!r}")
     pairs = _pairs(n)
-    for m in range(1, len(pairs) + 1):
+    start = 1 if predicate == "dom-sat" else 0  # the at-least-one-edge assumption
+    for m in range(start, len(pairs) + 1):
         tested: dict[int, Graph | None] = {}  # class key -> the graph if it passed
         for chosen in combinations(range(len(pairs)), m):
             key = perm_canonical_key(n, sum(1 << i for i in chosen))

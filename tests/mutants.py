@@ -153,6 +153,12 @@ MUTANTS = (
         "return Graph, (self.n, self.rows)", "return object.__reduce__(self)",
         ("tests/test_graphs.py::test_graph_copy_deepcopy_and_pickle_round_trip",),
     ),
+    # the empty graph never swept, though only dom-sat hosts need an edge
+    Mutant(
+        "naive-sweep-starts-at-one", "src/domsat/oracle.py",
+        'start = 1 if predicate == "dom-sat" else 0', "start = 1",
+        ("tests/test_search.py::test_witness_sets_match_naive_oracle",),
+    ),
     Mutant(
         "known-density-rejects-least-value", "src/domsat/bounds.py",
         "if value < least:", "if value <= least:",
@@ -178,7 +184,13 @@ MUTANTS = (
     ),
     Mutant(
         "child-test-always-true", "src/domsat/enumeration.py",
-        "if _in_canonical_orbit(child, top):", "if True:",
+        "if roots[-1] != roots[labelled.index(min(labelled))]:", "if False:",
+        ("tests/test_enumeration.py::test_burnside_level_counts_match_enumeration",),
+    ),
+    # generators left in the child's labels, not relabelled onto its canonical form
+    Mutant(
+        "generators-not-conjugated", "src/domsat/enumeration.py",
+        "[tuple(pos[a[v]] for v in order) for a in autos]", "list(autos)",
         ("tests/test_enumeration.py::test_burnside_level_counts_match_enumeration",),
     ),
     Mutant(

@@ -112,14 +112,15 @@ def test_witness_sets_match_naive_oracle(pool):
     from domsat.canon import canonical_graph6
     from domsat.oracle import naive_min_edges
 
-    cases = [("K3", 5), ("P3", 6), ("P4", 5)]
-    for name, n_top in cases:
-        f = pool[name]
-        for n in range(f.n, n_top + 1):
-            fast = min_edges(f, n, "dom-sat")
-            naive_m, naive_wits = naive_min_edges(f, n, "dom-sat")
-            assert fast.min_edges == naive_m
-            assert {canonical_graph6(w) for w in naive_wits} == set(fast.witnesses)
+    # K2's minima are 0 except for dom-sat, whose hosts have an edge
+    cases = [(K2, 5), (pool["K3"], 5), (pool["P3"], 6), (pool["P4"], 5)]
+    for predicate in search.SEARCH_PREDICATES:
+        for f, n_top in cases:
+            for n in range(f.n, n_top + 1):
+                fast = min_edges(f, n, predicate)
+                naive_m, naive_wits = naive_min_edges(f, n, predicate)
+                assert fast.min_edges == naive_m
+                assert {canonical_graph6(w) for w in naive_wits} == set(fast.witnesses)
 
 
 def test_domination_monotonicity(pool):
