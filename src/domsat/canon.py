@@ -40,10 +40,12 @@ equal to the best leaf, records the automorphism there and jumps back to
 the common ancestor: the rest of its subtree is the image of one already
 searched, so the least leaf and the orbit argument are unchanged.
 Enumeration reads the positions, the form and the generators from one
-search and relabels the generators onto the form itself.
-_pair_orbit_roots applies them to vertex pairs: enumeration's non-edge
-orbits and canonical-edge test and embed's one anchor arc per orbit all
-call it.  _base_orbits gives the path with each v_k's orbit under its
+search and relabels the generators onto the form itself.  It tests a
+child's root partition (_root_cells, whose order every leaf keeps)
+before searching it, and the search takes its root from the same cache,
+so a child it keeps is refined once.  _pair_orbit_roots applies the
+generators to vertex pairs: enumeration's non-edge orbits and
+canonical-edge test and embed's one anchor arc per orbit all call it.  _base_orbits gives the path with each v_k's orbit under its
 prefix's stabilizer: automorphism_order multiplies their sizes, and
 embed turns them into the order constraints that count each copy of a
 pattern once (Grochow and Kellis, "Network motif discovery using
@@ -148,6 +150,16 @@ def _pair_orbit_firsts(
 
 
 @lru_cache(maxsize=1)
+def _root_cells(g: Graph) -> tuple[int, ...]:
+    """The coarsest equitable ordered partition of g's vertices, the root
+    of its canonical search.  Its cells are ordered by isomorphism
+    invariants, and every leaf keeps them in order: a vertex's canonical
+    label lies in its root cell's range.  The last result is cached, so
+    a caller that tests a graph's root before searching it refines once."""
+    return tuple(_refine(g.rows, [g.vertex_mask], [g.vertex_mask]))
+
+
+@lru_cache(maxsize=1)
 def _canonical_search(
     g: Graph,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -167,7 +179,7 @@ def _canonical_search(
     best_pos: list[int] | None = None
     best_fixed: tuple[int, ...] = ()
     autos: list[tuple[int, ...]] = []
-    root = _refine(rows, [g.vertex_mask], [g.vertex_mask])
+    root = _root_cells(g)
     # twins[v]: the class of v's twins, v included, or 0 if it has none.
     # False twins have equal rows, true twins equal rows once each one's
     # own bit is set; an automorphism maps a root cell onto itself, so
@@ -241,7 +253,7 @@ def _canonical_search(
                 return depth
         return n
 
-    descend(root, [], ())
+    descend(list(root), [], ())
     # descend holds itself through its closure; breaking that cycle frees
     # the search's lists now instead of at the next cycle collection
     del descend

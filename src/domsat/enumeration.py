@@ -10,11 +10,25 @@ edges whose degree key (d_a + d_b, d_a * d_b) is largest, the one whose
 pair of canonical labels is least.  H minus its canonical edge has one
 class, so exactly one parent, and within it one non-edge orbit, passes
 the test: every class is produced exactly once and needs no
-deduplication.  The key is an isomorphism invariant, so most children
-are rejected before they are canonically labelled.  A child that is
-labelled gets one canonical search, and _canonical_entry reads
-everything from it: the positions and automorphisms for the test and,
-when the child is kept, its canonical form and the generators (twin
+deduplication.
+
+Three sound filters reject almost every child the orbit test would
+reject before it is labelled.  (1) Adding uv lowers no edge's key, so uv
+can be top only if its key in H reaches the parent's largest edge key;
+the test is Aut(parent)-invariant, so the non-edges that pass are closed
+under the group and each orbit keeps its first pair.  (2) Only the edges
+at u or v change their key, so uv is top exactly when none of those gets
+a larger one.  (3) The root cells of H's canonical search (canon's
+_root_cells, an equitable partition whose order every leaf keeps) give
+each vertex a range of canonical labels, so the canonical edge's smaller
+label lies in the first root cell that holds an end of a top edge;
+automorphisms keep root cells, so uv is rejected when neither end lies
+there.  The search reads the same cached root, so a kept child is
+refined once.
+
+A child that is labelled gets one canonical search, and _canonical_entry
+reads everything from it: the positions and automorphisms for the test
+and, when the child is kept, its canonical form and the generators (twin
 swaps and the automorphisms the search's leaves gave), which it
 relabels onto the form itself.  The empty graph goes through the same
 step with nothing to test.  Both orbit steps call canon's pair-orbit
@@ -30,21 +44,62 @@ no code with this path.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .canon import _canonical_search, _pair_orbit_firsts, _pair_orbit_roots
+from .canon import _canonical_search, _pair_orbit_firsts, _pair_orbit_roots, _root_cells
 from .graph6 import graph6_encode
 from .graphs import Graph, _trusted_graph, empty_graph, is_connected
 
 MAX_ENUM_VERTICES = 10
 
 
-def _top_key_edges(deg: list[int], edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The edges whose key (d_a + d_b, d_a * d_b) under the degrees deg is
-    largest, in the order given.  The key is an isomorphism invariant."""
-    keys = [(deg[a] + deg[b], deg[a] * deg[b]) for a, b in edges]
-    top = max(keys)
-    return [e for e, k in zip(edges, keys) if k == top]
+def _key_tops(
+    parent: Graph, gens: Sequence[Sequence[int]]
+) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
+    """(u, v, top) for each non-edge uv, the first of its orbit under
+    <gens> = Aut(parent), whose degree key (d_a + d_b, d_a * d_b) is
+    largest in H = parent + uv; top is H's edges of that key, in edges()
+    order, then uv."""
+    deg = parent.degrees()
+    edges = parent.edges()
+    floor = (0, 0)  # the parent's largest key; adding uv lowers no key
+    most = [0] * parent.n  # most[x]: the largest degree of a neighbour of x
+    for a, b in edges:
+        da, db = deg[a], deg[b]
+        if (da + db, da * db) > floor:
+            floor = (da + db, da * db)
+        if db > most[a]:
+            most[a] = db
+        if da > most[b]:
+            most[b] = da
+    keys = {}
+    for u, v in parent.non_edges():
+        key = (deg[u] + deg[v] + 2, (deg[u] + 1) * (deg[v] + 1))
+        if key >= floor:
+            keys[u, v] = key
+    for u, v in _pair_orbit_firsts(list(keys), gens):
+        key = keys[u, v]
+        du, dv = deg[u] + 1, deg[v] + 1
+        # only the edges at u or v change key, and at each end the edge to
+        # the neighbour of largest degree has the largest
+        if (du + most[u], du * most[u]) > key or (dv + most[v], dv * most[v]) > key:
+            continue  # another parent makes this child
+        d = list(deg)
+        d[u] = du
+        d[v] = dv
+        yield u, v, [(a, b) for a, b in edges if (d[a] + d[b], d[a] * d[b]) == key] + [(u, v)]
+
+
+def _in_first_cell(g: Graph, top: list[tuple[int, int]]) -> bool:
+    """Whether top's last edge has an end in the first root cell of g that
+    holds an end of an edge of top.  When it has none, it is not in the
+    Aut(g)-orbit of the canonical edge."""
+    ends = 0
+    for a, b in top:
+        ends |= 1 << a | 1 << b
+    first = next(c for c in _root_cells(g) if c & ends)
+    u, v = top[-1]
+    return bool(first & (1 << u | 1 << v))
 
 
 def _canonical_entry(
@@ -79,18 +134,11 @@ def levels(n: int) -> Iterator[list[Graph]]:
         yield [g for g, _ in level]
         made = []
         for parent, gens in level:
-            degrees = parent.degrees()
-            edges = parent.edges()
-            for u, v in _pair_orbit_firsts(parent.non_edges(), gens):
-                deg = list(degrees)
-                deg[u] += 1
-                deg[v] += 1
-                # uv goes last, so it ends top exactly when its key is largest;
-                # when it is not, another parent makes this child
-                top = _top_key_edges(deg, edges + [(u, v)])
-                if top[-1] != (u, v):
+            for u, v, top in _key_tops(parent, gens):
+                child = parent.add_edge(u, v)
+                if not _in_first_cell(child, top):
                     continue
-                entry = _canonical_entry(parent.add_edge(u, v), top)
+                entry = _canonical_entry(child, top)
                 if entry is not None:
                     made.append(entry)
         made.sort(key=lambda entry: graph6_encode(entry[0]))

@@ -182,6 +182,23 @@ MUTANTS = (
         "self.anchors = plan.anchors",
         ("tests/test_predicates.py::test_pattern_larger_than_host_starts_no_search",),
     ),
+    # a child whose new edge ties the parent's largest key is never made
+    Mutant(
+        "degree-floor-strict", "src/domsat/enumeration.py",
+        "if key >= floor:", "if key > floor:",
+        ("tests/test_enumeration.py::test_burnside_level_counts_match_enumeration",),
+    ),
+    Mutant(
+        "first-cell-one-endpoint", "src/domsat/enumeration.py",
+        "first & (1 << u | 1 << v)", "first & 1 << u",
+        ("tests/test_enumeration.py::test_burnside_level_counts_match_enumeration",),
+    ),
+    # sound, so no output changes: only the number of labellings shows it
+    Mutant(
+        "first-cell-test-dropped", "src/domsat/enumeration.py",
+        "                if not _in_first_cell(child, top):\n                    continue\n", "",
+        ("tests/test_enumeration.py::test_levels_labelling_count",),
+    ),
     Mutant(
         "child-test-always-true", "src/domsat/enumeration.py",
         "if roots[-1] != roots[labelled.index(min(labelled))]:", "if False:",

@@ -16,7 +16,9 @@ from domsat import (
     path_graph,
     star_graph,
 )
-from domsat.enumeration import levels
+import domsat.enumeration
+from domsat.canon import _pair_orbit_firsts
+from domsat.enumeration import _canonical_entry, _in_first_cell, _key_tops, levels
 from domsat.oracle import (
     labeled_class_counts,
     level_counts,
@@ -88,6 +90,67 @@ def test_eight_vertex_stream_digest(eight_vertex_walk):
     # pins the 12 346 classes on 8 vertices, their canonical labels and the stream order
     text = "\n".join(graph6_encode(g) for level in eight_vertex_walk for g in level)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "8f49326fb18e2d9f"
+
+
+def _full_key_top(parent, u, v):
+    """parent + uv's edges of largest key (d_a + d_b, d_a * d_b), in
+    edges() order then uv, from every edge's key in the child: the rule
+    the enumerator's key filters must agree with."""
+    deg = list(parent.degrees())
+    deg[u] += 1
+    deg[v] += 1
+    edges = parent.edges() + [(u, v)]
+    keys = [(deg[a] + deg[b], deg[a] * deg[b]) for a, b in edges]
+    return [e for e, k in zip(edges, keys) if k == max(keys)]
+
+
+def _parents(n_max):
+    """Every class on at most n_max vertices, with generators of its
+    automorphism group (each class is its own canonical form)."""
+    for n in range(1, n_max + 1):
+        for g in all_classes(n):
+            yield g, _canonical_entry(g, [])[1]
+
+
+def test_key_filters_match_full_key_rule():
+    for parent, gens in _parents(7):
+        wanted = {}
+        for u, v in parent.non_edges():
+            top = _full_key_top(parent, u, v)
+            if top[-1] == (u, v):
+                wanted[u, v] = top
+        # with no generators every non-edge is its own orbit
+        assert {(u, v): top for u, v, top in _key_tops(parent, [])} == wanted
+        # with Aut(parent), each orbit that passes keeps its first pair
+        firsts = [e for e in _pair_orbit_firsts(parent.non_edges(), gens) if e in wanted]
+        assert [(u, v) for u, v, _ in _key_tops(parent, gens)] == firsts
+
+
+def test_first_cell_rejects_only_children_the_orbit_test_rejects():
+    rejected = 0
+    for parent, _ in _parents(7):
+        for u, v, top in _key_tops(parent, []):
+            child = parent.add_edge(u, v)
+            if not _in_first_cell(child, top):
+                rejected += 1
+                assert _canonical_entry(child, top) is None
+    # every key-top non-edge of every parent, not one per orbit, so not vacuous
+    assert rejected == 795
+
+
+def test_levels_labelling_count(monkeypatch):
+    # a filter that is lost but still sound changes no output, only this count
+    calls = 0
+    search = domsat.enumeration._canonical_search
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return search(g)
+
+    monkeypatch.setattr(domsat.enumeration, "_canonical_search", counted)
+    assert sum(len(level) for level in levels(7)) == 1044
+    assert calls == 1117
 
 
 def test_small_levels():

@@ -187,7 +187,7 @@ def test_mutation_ledger_entries_apply_and_name_tests():
     # runs no mutant: each text occurs once in its file, each test exists
     import mutants
 
-    assert len(mutants.MUTANTS) == len({m.name for m in mutants.MUTANTS}) == 29
+    assert len(mutants.MUTANTS) == len({m.name for m in mutants.MUTANTS}) == 32
     assert mutants.problems() == []
 
 
