@@ -59,7 +59,7 @@ from math import prod
 from typing import Sequence
 
 from .graph6 import graph6_encode
-from .graphs import Graph, _bits, _relabelled, _trusted_graph
+from .graphs import Graph, _bits, _relabelled, _trusted_graph, _twin_classes
 
 
 def _refine(rows: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
@@ -68,7 +68,8 @@ def _refine(rows: tuple[int, ...], cells: list[int], queue: list[int]) -> list[i
     Only the masks in queue, and the parts each split makes, are used as
     splitters, last first.  So cells must already be equitable with
     respect to every cell left out of queue: each vertex of a cell has
-    the same number of neighbours in it."""
+    the same number of neighbours in it.  A cell that meets no neighbour
+    of the splitter would key every member 0, so it is kept whole."""
     n = len(rows)
     cells = list(cells)
     queue = list(queue)
@@ -90,8 +91,11 @@ def _refine(rows: tuple[int, ...], cells: list[int], queue: list[int]) -> list[i
                     new_cells.append(cell)
             cells = new_cells
             continue
+        near = 0
+        for w in _bits(splitter):
+            near |= rows[w]
         for cell in cells:
-            if cell & (cell - 1) == 0:  # singleton
+            if cell & (cell - 1) == 0 or not cell & near:  # cannot split
                 new_cells.append(cell)
                 continue
             groups: dict[int, int] = {}
@@ -180,18 +184,12 @@ def _canonical_search(
     best_fixed: tuple[int, ...] = ()
     autos: list[tuple[int, ...]] = []
     root = _root_cells(g)
-    # twins[v]: the class of v's twins, v included, or 0 if it has none.
-    # False twins have equal rows, true twins equal rows once each one's
-    # own bit is set; an automorphism maps a root cell onto itself, so
-    # twins share one
+    # twins[v]: the class of v's twins, v included, or 0 if it has none;
+    # an automorphism maps a root cell onto itself, so twins share one
     twins = [0] * n
     for cell in root:
         if cell & (cell - 1):
-            classes: dict[tuple[bool, int], int] = {}
-            for v in _bits(cell):
-                for key in ((False, rows[v]), (True, rows[v] | 1 << v)):
-                    classes[key] = classes.get(key, 0) | 1 << v
-            for members in classes.values():
+            for members in _twin_classes(rows, _bits(cell)):
                 ones = list(_bits(members))
                 for a, b in zip(ones, ones[1:]):
                     p = list(range(n))

@@ -254,8 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_MAX_N,
         help="search order cap; the hard limit 10 reaches only low edge counts"
-        " (levels m <= 10 at n = 10 took 0.9-1.4 s, m <= 12 took 5.4-6.7 s,"
-        " on a 2-core x86-64 machine, 2026-10-19)",
+        " (timings in the Caps paragraph of README.md)",
     )
 
     p = sub.add_parser("check", parents=[common], help="run a predicate on a graph")

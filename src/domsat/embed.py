@@ -21,6 +21,21 @@ the anchor avoid u and v, so adding uv changes only the anchor's degree
 test: "through uv once added" runs the same search with deg u + 1 and
 deg v + 1 and leaves the host as it is.
 
+The dominated and semi-saturated scans ask one such question per edge,
+or per non-edge once added, and stop at the first pair with no copy
+(_Host.scan).  Swapping two twins of the host, vertices with the same
+neighbours apart from each other, is an automorphism, so pairs one swap
+maps onto the other have a copy through them or neither has.  A scan
+probes a pair only when it is the least of its orbit under the twin
+swaps, and a pair it skips shares the answer of an earlier pair that
+passed; pairs come in lexicographic order, so the first failing pair,
+the certificate, is the one a probe of every pair finds.  The twins are
+read once per set-up, after a scan's first pair passes, and found again
+after add, since an added edge changes them.  Only a scan of more than
+2n pairs, n the host's order, reads them: on a shorter list the read
+costs more than the probes it saves.  The scan decides existence only
+and builds no mapping.
+
 Copies are counted once each, not as embeddings divided by |Aut|
 (Grochow and Kellis, RECOMB 2007).  Along canon's base v_1..v_d of
 the pattern, each v_k must map below every other vertex of its orbit
@@ -35,7 +50,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .canon import _base_orbits, _canonical_search, _pair_orbit_firsts
-from .graphs import Graph
+from .graphs import Graph, _twin_classes
 
 
 def _search_order(
@@ -218,13 +233,15 @@ class _Host:
     through_added(u, v) for one through non-edge uv once added, trying
     one anchor per arc orbit of the pattern.  through_added touches
     nothing: the vertices placed after the anchor avoid u and v, so only
-    the anchor's degree test sees the new edge.  add commits an edge to
-    the host's own copy of the rows, keeping the degrees and degree
-    masks in step.  No Graph is built and no argument is validated:
-    callers pass pairs of distinct vertices.
+    the anchor's degree test sees the new edge.  scan asks the same of
+    a whole list of edges or of non-edges and returns the first pair
+    without a copy, probing one pair per orbit of the host's twin swaps.
+    add commits an edge to the host's own copy of the rows, keeping the
+    degrees and degree masks in step.  No Graph is built and no argument
+    is validated: callers pass pairs of distinct vertices.
     """
 
-    __slots__ = ("plan", "anchors", "rows", "degs", "deg_ok", "image")
+    __slots__ = ("plan", "anchors", "rows", "degs", "deg_ok", "image", "twins")
 
     def __init__(self, pattern: Graph, host: Graph) -> None:
         plan = self.plan = _plan(pattern)
@@ -237,6 +254,7 @@ class _Host:
         ge = {d: sum(1 << hv for hv, hd in enumerate(degs) if hd >= d) for d in plan.of_degree}
         self.deg_ok = [ge[d] for d in plan.degrees]
         self.image = [0] * pattern.n
+        self.twins: tuple[int, dict[int, int]] | None = None
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -268,32 +286,81 @@ class _Host:
         return _count(self.rows, plan.order, plan.back, above, below, self.deg_ok, self.image, 0, 0)
 
     def _through(self, u: int, v: int, du: int, dv: int) -> tuple[int, ...] | None:
-        """First copy mapping an anchor arc onto uv when u and v have
-        degrees du and dv, skipping an anchor whose pattern degrees
-        they cannot meet."""
+        """The search order of the first anchor whose search finds a copy
+        mapping its arc onto uv when u and v have degrees du and dv, with
+        that copy left in image, or None; an anchor whose pattern degrees
+        they cannot meet is skipped."""
         rows, deg_ok, image = self.rows, self.deg_ok, self.image
         used = (1 << u) | (1 << v)
+        # a search from depth 2 writes only image[2:]
+        image[0], image[1] = u, v
         for dx, dy, order, back in self.anchors:
             if dx > du or dy > dv:
                 continue
-            image[0], image[1] = u, v
             if _search(rows, order, back, deg_ok, image, 2, used):
-                return _mapping(order, image)
+                return order
         return None
 
     def through_edge(self, u: int, v: int) -> tuple[int, ...] | None:
         """Embedding whose image edge set contains edge uv, or None."""
-        return self._through(u, v, self.degs[u], self.degs[v])
+        order = self._through(u, v, self.degs[u], self.degs[v])
+        return None if order is None else _mapping(order, self.image)
 
     def through_added(self, u: int, v: int) -> tuple[int, ...] | None:
         """through_edge(u, v) in host + uv, for a non-edge uv."""
-        return self._through(u, v, self.degs[u] + 1, self.degs[v] + 1)
+        order = self._through(u, v, self.degs[u] + 1, self.degs[v] + 1)
+        return None if order is None else _mapping(order, self.image)
+
+    def scan(self, pairs: list[tuple[int, int]], bump: int) -> tuple[int, int] | None:
+        """The first pair uv of pairs with no copy through it once each
+        end's degree is raised by bump, or None: bump 0 asks through_edge
+        of edges, bump 1 through_added of non-edges.
+
+        pairs must be in lexicographic order.  Once the twins are known,
+        a pair is probed only when it is the least of its orbit under the
+        host's twin swaps: ends in two classes must each be their class's
+        least member, ends in one class its two least.  A twin swap is an
+        automorphism, so a pair skipped has a copy through it exactly
+        when the earlier pair it maps to has one, and that pair has
+        passed; the first failing pair is the one a probe of every pair
+        finds.  A list of at most 2n pairs, n the host's order, does not
+        repay finding the twins, so only a longer one does."""
+        degs, through, twins = self.degs, self._through, self.twins
+        rest, mate = twins or (0, {})
+        for u, v in pairs:
+            if rest and (rest >> u & 1 or rest >> v & 1 and mate.get(u) != v):
+                continue
+            if through(u, v, degs[u] + bump, degs[v] + bump) is None:
+                return u, v
+            if twins is None and len(pairs) > 2 * len(degs):
+                # a pair has passed, so the scan goes on: find the twins
+                twins = self.twins = self._twin_skips()
+                rest, mate = twins
+        return None
+
+    def _twin_skips(self) -> tuple[int, dict[int, int]]:
+        """(rest, mate): rest holds every twin but its class's least
+        member, and mate maps each class's least member to its second."""
+        rows = self.rows
+        n = len(rows)
+        # most hosts of a predicate sweep have no twins: two set builds say so
+        if len(set(rows)) == n and len({row | 1 << v for v, row in enumerate(rows)}) == n:
+            return 0, {}
+        rest, mate = 0, {}
+        for members in _twin_classes(rows, range(n)):
+            least = members & -members
+            others = members ^ least
+            rest |= others
+            mate[least.bit_length() - 1] = (others & -others).bit_length() - 1
+        return rest, mate
 
     def add(self, u: int, v: int) -> None:
-        """Add non-edge uv; each end joins the masks its new degree meets."""
+        """Add non-edge uv; each end joins the masks its new degree meets.
+        The host's twins change with it, so they are found again."""
         rows, degs, deg_ok = self.rows, self.degs, self.deg_ok
         rows[u] |= 1 << v
         rows[v] |= 1 << u
+        self.twins = None
         for w in (u, v):
             d = degs[w] = degs[w] + 1
             for pv in self.plan.of_degree.get(d, ()):

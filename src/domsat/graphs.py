@@ -30,6 +30,29 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _twin_classes(rows: Sequence[int], vertices: Iterable[int]) -> list[int]:
+    """The classes of two or more twins among vertices, given in ascending
+    order, as bitmasks ordered by least member.  Twins have the same
+    neighbours apart from each other: false twins have equal rows, true
+    twins equal rows once each one's own bit is set.  No vertex v lies in
+    two classes: were a a false and b a true twin of v, b would be a
+    neighbour of v, hence of a, so a would lie in b's closed
+    neighbourhood, which is v's, and be v's neighbour.  So a vertex with
+    a false twin needs no true-twin test."""
+    # open rows key false twins; complemented closed rows, being negative,
+    # key true twins apart from them
+    least: dict[int, int] = {}
+    classes: dict[int, int] = {}
+    for v in vertices:
+        row = rows[v]
+        w = least.setdefault(row, v)
+        if w == v:
+            w = least.setdefault(~(row | 1 << v), v)
+        if w != v:
+            classes[w] = classes.get(w, 1 << w) | 1 << v
+    return [classes[w] for w in sorted(classes)]
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 

@@ -18,6 +18,15 @@ finds its witness fails the predicate and reports it as the certificate:
                   cert: the greedy edge order, failure cert: the stuck
                   graph's non-edge set
 
+The non-edge and uncovered-edge tests probe one pair per orbit of the
+host's twin swaps once a list is long enough to repay finding the
+twins (embed._Host.scan): a twin swap is an automorphism, so
+a skipped pair has a copy through it exactly when the earlier pair it
+maps to has one, and the scans run in lexicographic order, so the first
+failing pair, the certificate, is the one a probe of every pair finds.
+weakly-saturated probes every pair: the edges its closure adds change
+the host's twins as it goes.
+
 Patterns must have at least one edge; edgeless patterns make every
 question degenerate and are rejected.
 """
@@ -53,19 +62,11 @@ def _require_pattern(f: Graph) -> None:
         raise ValueError("pattern must have at least one edge")
 
 
-def _first_without_copy(pairs: list[tuple[int, int]], copy_through) -> tuple[int, int] | None:
-    """First pair uv with no copy through it, or None."""
-    for e in pairs:
-        if copy_through(*e) is None:
-            return e
-    return None
-
-
 # certificate kind -> the witness that fails its test, or None
 _WITNESS = {
     CERT_EMBEDDING: lambda probe, g: probe.first(),
-    CERT_NON_EDGE: lambda probe, g: _first_without_copy(g.non_edges(), probe.through_added),
-    CERT_UNCOVERED_EDGE: lambda probe, g: _first_without_copy(g.edges(), probe.through_edge),
+    CERT_NON_EDGE: lambda probe, g: probe.scan(g.non_edges(), 1),
+    CERT_UNCOVERED_EDGE: lambda probe, g: probe.scan(g.edges(), 0),
 }
 
 # each predicate's tests, in the order their failures are reported

@@ -74,6 +74,23 @@ MUTANTS = (
         ("tests/test_predicates.py::test_forged_certificates_do_not_replay"
          "[closure-order-with-no-copy]",),
     ),
+    # the skip keeps each twin class's greatest member, not its least
+    Mutant(
+        "twin-skip-keeps-greatest", "src/domsat/embed.py",
+        "least = members & -members", "least = 1 << members.bit_length() - 1",
+        (DEFINITIONS,),
+    ),
+    # sound, so no output changes: only the number of probes shows it
+    Mutant(
+        "twin-check-misses-true-twins", "src/domsat/embed.py",
+        " and len({row | 1 << v for v, row in enumerate(rows)}) == n", "",
+        ("tests/test_predicates.py::test_pair_probes_per_twin_orbit",),
+    ),
+    Mutant(
+        "add-keeps-old-twins", "src/domsat/embed.py",
+        "        rows[v] |= 1 << u\n        self.twins = None\n", "        rows[v] |= 1 << u\n",
+        ("tests/test_embed.py::test_scan_after_add_matches_a_fresh_host",),
+    ),
     Mutant(
         "count-without-below", "src/domsat/embed.py",
         "mask &= (1 << image[j]) - 1", "pass",
@@ -96,6 +113,12 @@ MUTANTS = (
     Mutant(
         "child-refined-by-singleton-only", "src/domsat/canon.py",
         CHILD, CHILD.replace(", split,", ", [1 << v],"),
+        ("tests/test_canon.py::test_canonical_search_digest",),
+    ),
+    # a cell left whole when it meets no splitter vertex, though it meets their neighbours
+    Mutant(
+        "refine-skips-by-splitter-itself", "src/domsat/canon.py",
+        "near |= rows[w]", "near |= 1 << w",
         ("tests/test_canon.py::test_canonical_search_digest",),
     ),
     # a cell of mutual twins put on the path without its second-to-last vertex

@@ -29,6 +29,7 @@ from domsat.canon import (
     _canonical_search,
     _orbit_roots,
     _pair_orbit_firsts,
+    _root_cells,
     canonical_graph6,
     canonical_relabeling,
 )
@@ -45,6 +46,8 @@ from domsat.constructions import (
 )
 from domsat.embed import count_embeddings
 from domsat.enumeration import _canonical_entry, all_classes
+from domsat.graphs import _bits
+from domsat.graphs import _twin_classes as twin_classes
 
 
 def test_relabeling_invariance_examples():
@@ -177,6 +180,17 @@ def _twin_classes(g):
         if not any(u in c for c in classes):
             classes.append([v for v in range(u, g.n) if rows[u] & ~(1 << v) == rows[v] & ~(1 << u)])
     return classes
+
+
+def test_twin_classes_match_their_definition():
+    # the one twin rule canon's search and embed's scans share, on whole
+    # vertex sets and on the cells of the root partition
+    for g in [*_small_classes(7, 7), *(g for g, _ in _twin_heavy_hosts())]:
+        want = [c for c in _twin_classes(g) if len(c) > 1]
+        assert [list(_bits(m)) for m in twin_classes(g.rows, range(g.n))] == want, g
+        for cell in _root_cells(g):
+            got = [list(_bits(m)) for m in twin_classes(g.rows, _bits(cell))]
+            assert got == [c for c in want if c[0] in _bits(cell)], g
 
 
 def test_base_paths_take_twins_least_first():

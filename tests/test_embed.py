@@ -225,6 +225,28 @@ def test_edge_probe_matches_built_hosts_and_restores(host):
             assert (probe.rows, probe.degs, probe.deg_ok) == (grown.rows, grown.degs, grown.deg_ok)
 
 
+def test_scan_after_add_matches_a_fresh_host():
+    # an added edge changes the host's twins, so a scan after it must find
+    # them again rather than skip pairs by the old ones; on 7 vertices with
+    # at most 5 edges every non-edge list, before and after the added edge,
+    # holds more than 2n = 14 pairs, so a scan that passes a pair reads the twins
+    checked = 0
+    for host in all_classes(7):
+        if not 0 < host.edge_count <= 5:
+            continue
+        non_edges = host.non_edges()
+        for pattern in (complete_graph(3), path_graph(3), star_graph(3), cycle_graph(4)):
+            for e in non_edges:
+                grown = host.add_edge(*e)
+                probe = _Host(pattern, host)
+                probe.scan(non_edges, 1)
+                probe.add(*e)
+                pairs = grown.non_edges()
+                assert probe.scan(pairs, 1) == _Host(pattern, grown).scan(pairs, 1)
+                checked += 1
+    assert checked == 2616
+
+
 @given(graphs(min_n=3, max_n=6), st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 def test_new_copies_appear_iff_through_edge(host, rnd):

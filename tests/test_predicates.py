@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from conftest import ANCHOR_PATTERNS, graphs
 from domsat import (
     all_classes,
+    bridge_family,
     complete_graph,
     copy_through_edge,
+    cycle_gadget,
     cycle_graph,
     disjoint_union,
+    dom_turan,
     empty_graph,
     from_edges,
     is_dom_sat,
@@ -23,10 +26,14 @@ from domsat import (
     is_weakly_saturated,
     lemma_tree_witness,
     PredicateReport,
+    path_component_size,
+    path_family,
     path_graph,
     recheck_certificate,
     run_predicate,
+    star_family,
     star_graph,
+    star_plus_pair,
     tree_witness_ok,
     turan,
 )
@@ -284,6 +291,88 @@ def test_pattern_larger_than_host_starts_no_search(monkeypatch):
     host = complete_graph(20).remove_edge(0, 1)
     for name in PREDICATES:
         assert run_predicate(name, host, path_graph(21)).verdict == (name == "free")
+
+
+# -- one pair probed per twin orbit -------------------------------------------
+
+
+def _plain_report(name, g, f):
+    """The report of a scanning predicate with every pair probed, in order."""
+    probe = embed._Host(f, g)
+    for kind in predicates._TESTS[name]:
+        if kind == predicates.CERT_EMBEDDING:
+            found = probe.first()
+        elif kind == predicates.CERT_UNCOVERED_EDGE:
+            found = next((e for e in g.edges() if probe.through_edge(*e) is None), None)
+        else:
+            found = next((e for e in g.non_edges() if probe.through_added(*e) is None), None)
+        if found is not None:
+            return PredicateReport(name, False, kind, found)
+    return PredicateReport(name, True)
+
+
+def _dumbbell(r):
+    return disjoint_union([complete_graph(r)] * 2).add_edge(r - 1, r)
+
+
+def _certify_families():
+    """(host, claim pattern) for the 100 witness-family instances on 12..30
+    vertices that the certify benchmark builds, the cycle_gadget negative
+    control (loops one vertex too long) included."""
+    orders = range(12, 25)
+    out = [(dom_turan(n, r), complete_graph(r)) for r in range(3, 7) for n in range(12, 21)]
+    out.append((dom_turan(30, 5), complete_graph(5)))
+    out += [(path_family(n, r), path_graph(r))
+            for r in range(3, 14) for n in orders if n % path_component_size(r) == 0]
+    out += [(star_family(n, r), star_graph(r))
+            for r in range(2, 6) for n in orders if n % (2 * r - 1) == 0]
+    for r, p in ((5, 2), (6, 3), (7, 4), (5, 3), (6, 4), (7, 5)):
+        out += [(cycle_gadget(n, r, p), cycle_graph(r))
+                for n in orders if (n - r) % p == 0 and (n - r) // p >= 2]
+    out += [star_plus_pair(s)[::-1] for s in (7, 8)]
+    out += [(bridge_family(_dumbbell(r), n), _dumbbell(r))
+            for r in (3, 4, 5) for n in orders if n % (2 * r) == 0]
+    return out
+
+
+def test_twin_orbit_scans_match_a_plain_scan(pool):
+    # a pair a twin swap maps onto an earlier one is never probed; the
+    # verdict, certificate kind and first failing pair stay those of a
+    # scan that probes every pair
+    small = [(g, f) for n in range(2, 8) for g in all_classes(n) if g.edge_count
+             for f in pool.values()]
+    families = _certify_families()
+    assert len(families) == 100
+    assert sum(not is_dom_sat(g, f).verdict for g, f in families) == 9
+    for g, f in small + families:
+        for name in ("dominated", "semi-saturated", "saturated", "dom-sat"):
+            assert run_predicate(name, g, f) == _plain_report(name, g, f), (name, g, f)
+
+
+def test_pair_probes_per_twin_orbit(monkeypatch):
+    """Anchored pair probes made by one dom-sat call.  Probing every
+    pair makes 190 on dom_turan(20, 4), 91 on star_plus_pair(8) and 276 on
+    bridge_family(dumbbell of two K4, 24); one probe per twin orbit makes
+    55, 18 and 96.  The last two probe every edge, since their edge lists
+    hold at most 2n pairs, and skip along the non-edges."""
+    probes = []
+    through = embed._Host._through
+
+    def counted(self, u, v, du, dv):
+        probes.append((u, v))
+        return through(self, u, v, du, dv)
+
+    pattern, host = star_plus_pair(8)
+    cases = [
+        (dom_turan(20, 4), complete_graph(4), 55),
+        (host, pattern, 18),
+        (bridge_family(_dumbbell(4), 24), _dumbbell(4), 96),
+    ]
+    monkeypatch.setattr(embed._Host, "_through", counted)
+    for g, f, want in cases:
+        probes.clear()
+        assert is_dom_sat(g, f).verdict
+        assert len(probes) == want, (g, f)
 
 
 def _digest_hosts():
