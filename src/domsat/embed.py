@@ -10,8 +10,8 @@ vertex but the last and adding up the last one's candidates.
 One set-up serves unanchored, anchored and counting questions: a _Host
 copies a host's rows, counts its degrees and builds its degree masks
 once, then answers "is there a copy", "how many", "a copy through edge
-uv" and "a copy through uv once added", so a predicate call pays for one
-set-up and many searches.
+uv" and, over a list of pairs, "the first pair with (or without) a copy
+through it", so a predicate call pays for one set-up and many searches.
 
 An anchored search maps a pattern arc (ordered edge) onto uv and
 extends.  Arcs in one orbit of Aut(pattern) succeed or fail together,
@@ -21,20 +21,19 @@ the anchor avoid u and v, so adding uv changes only the anchor's degree
 test: "through uv once added" runs the same search with deg u + 1 and
 deg v + 1 and leaves the host as it is.
 
-The dominated and semi-saturated scans ask one such question per edge,
-or per non-edge once added, and stop at the first pair with no copy
-(_Host.scan).  Swapping two twins of the host, vertices with the same
-neighbours apart from each other, is an automorphism, so pairs one swap
-maps onto the other have a copy through them or neither has.  A scan
-probes a pair only when it is the least of its orbit under the twin
-swaps, and a pair it skips shares the answer of an earlier pair that
-passed; pairs come in lexicographic order, so the first failing pair,
-the certificate, is the one a probe of every pair finds.  The twins are
-read once per set-up, after a scan's first pair passes, and found again
-after add, since an added edge changes them.  Only a scan of more than
-2n pairs, n the host's order, reads them: on a shorter list the read
-costs more than the probes it saves.  The scan decides existence only
-and builds no mapping.
+Every pair test is one scan (_Host.scan): one such question per edge,
+or per non-edge once added, up to the first pair with the answer asked
+for, no copy for the dominated and semi-saturated tests and a copy for
+the weakly-saturated closure.  Swapping two twins of the host, vertices
+with the same neighbours apart from each other, is an automorphism, so
+pairs one swap maps onto the other have a copy through them or neither
+has.  A scan probes a pair only when it is the least of its orbit under
+the twin swaps, and still stops at the pair a probe of every pair finds
+(see scan).  The twins are read once per set-up, after a scan's first
+pair passes, and again after add, since an added edge changes them.
+Only a scan of more than 2n pairs, n the host's order, reads them: on a
+shorter list the read costs more than the probes it saves.  The scan
+decides existence only and builds no mapping.
 
 Copies are counted once each, not as embeddings divided by |Aut|
 (Grochow and Kellis, RECOMB 2007).  Along canon's base v_1..v_d of
@@ -229,16 +228,14 @@ class _Host:
 
     first and count run the unanchored search, count with or without
     the order constraints that keep one embedding per copy;
-    through_edge(u, v) asks for a copy through host edge uv, and
-    through_added(u, v) for one through non-edge uv once added, trying
-    one anchor per arc orbit of the pattern.  through_added touches
-    nothing: the vertices placed after the anchor avoid u and v, so only
-    the anchor's degree test sees the new edge.  scan asks the same of
-    a whole list of edges or of non-edges and returns the first pair
-    without a copy, probing one pair per orbit of the host's twin swaps.
-    add commits an edge to the host's own copy of the rows, keeping the
-    degrees and degree masks in step.  No Graph is built and no argument
-    is validated: callers pass pairs of distinct vertices.
+    through_edge(u, v) asks for a copy through host edge uv, trying one
+    anchor per arc orbit of the pattern.  scan asks the same of a whole
+    list of edges, or of non-edges once added (the host untouched), and
+    returns the first pair whose answer is the one wanted, probing one
+    pair per orbit of the host's twin swaps.  add commits an edge to the
+    host's own copy of the rows, keeping the degrees and degree masks in
+    step.  No Graph is built and no argument is validated: callers pass
+    pairs of distinct vertices.
     """
 
     __slots__ = ("plan", "anchors", "rows", "degs", "deg_ok", "image", "twins")
@@ -306,34 +303,35 @@ class _Host:
         order = self._through(u, v, self.degs[u], self.degs[v])
         return None if order is None else _mapping(order, self.image)
 
-    def through_added(self, u: int, v: int) -> tuple[int, ...] | None:
-        """through_edge(u, v) in host + uv, for a non-edge uv."""
-        order = self._through(u, v, self.degs[u] + 1, self.degs[v] + 1)
-        return None if order is None else _mapping(order, self.image)
+    def scan(
+        self, pairs: list[tuple[int, int]], bump: int, want: bool = False
+    ) -> tuple[int, int] | None:
+        """The first pair uv of pairs with a copy through it (want True)
+        or without one (want False) once each end's degree is raised by
+        bump, or None: bump 0 probes edges, bump 1 non-edges as if added.
 
-    def scan(self, pairs: list[tuple[int, int]], bump: int) -> tuple[int, int] | None:
-        """The first pair uv of pairs with no copy through it once each
-        end's degree is raised by bump, or None: bump 0 asks through_edge
-        of edges, bump 1 through_added of non-edges.
-
-        pairs must be in lexicographic order.  Once the twins are known,
-        a pair is probed only when it is the least of its orbit under the
-        host's twin swaps: ends in two classes must each be their class's
-        least member, ends in one class its two least.  A twin swap is an
-        automorphism, so a pair skipped has a copy through it exactly
-        when the earlier pair it maps to has one, and that pair has
-        passed; the first failing pair is the one a probe of every pair
-        finds.  A list of at most 2n pairs, n the host's order, does not
-        repay finding the twins, so only a longer one does."""
+        Once the twins are known, a pair is probed only when it is the
+        least of its orbit under the host's twin swaps: ends in two
+        classes must each be their class's least member, ends in one
+        class its two least.  A twin swap is an automorphism, so a pair
+        skipped shares the answer of the earlier pair it maps to, which
+        was probed and did not stop the scan.  So pairs must be in
+        lexicographic order and closed under the current host's twin
+        swaps, whatever scan cached the twins: the host's edges
+        (uncovered-edge test) or non-edges (non-edge test; the closure's
+        pending pairs), or a replayed gap once checked to hold every
+        non-edge and no edge (a pair also listed reversed sorts after
+        its u < v form).  Only a list of more than 2n pairs, n the
+        host's order, repays finding the twins."""
         degs, through, twins = self.degs, self._through, self.twins
         rest, mate = twins or (0, {})
         for u, v in pairs:
             if rest and (rest >> u & 1 or rest >> v & 1 and mate.get(u) != v):
                 continue
-            if through(u, v, degs[u] + bump, degs[v] + bump) is None:
+            if (through(u, v, degs[u] + bump, degs[v] + bump) is not None) is want:
                 return u, v
             if twins is None and len(pairs) > 2 * len(degs):
-                # a pair has passed, so the scan goes on: find the twins
+                # a pair did not stop the scan, so it goes on: find the twins
                 twins = self.twins = self._twin_skips()
                 rest, mate = twins
         return None

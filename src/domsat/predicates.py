@@ -18,14 +18,11 @@ finds its witness fails the predicate and reports it as the certificate:
                   cert: the greedy edge order, failure cert: the stuck
                   graph's non-edge set
 
-The non-edge and uncovered-edge tests probe one pair per orbit of the
-host's twin swaps once a list is long enough to repay finding the
-twins (embed._Host.scan): a twin swap is an automorphism, so
-a skipped pair has a copy through it exactly when the earlier pair it
-maps to has one, and the scans run in lexicographic order, so the first
-failing pair, the certificate, is the one a probe of every pair finds.
-weakly-saturated probes every pair: the edges its closure adds change
-the host's twins as it goes.
+Every pair test is one scan (embed._Host.scan), which probes one pair
+per orbit of the host's twin swaps and stops where a probe of every
+pair would: the non-edge and uncovered-edge tests at the first pair
+with no copy through it, the weakly-saturated closure at the first
+pending non-edge with one, which it adds before it scans again.
 
 Patterns must have at least one edge; edgeless patterns make every
 question degenerate and are rejected.
@@ -126,15 +123,12 @@ def is_weakly_saturated(g: Graph, f: Graph) -> PredicateReport:
     probe = _Host(f, g)
     pending = g.non_edges()
     added: list[tuple[int, int]] = []
-    i = 0
-    while i < len(pending):
-        if probe.through_added(*pending[i]) is None:
-            i += 1
-        else:
-            # rescan from the start, as a restart on the grown graph would
-            probe.add(*pending[i])
-            added.append(pending.pop(i))
-            i = 0
+    # each scan starts from the first pending pair, as a restart on the
+    # grown graph would; pending stays that graph's non-edge set
+    while (e := probe.scan(pending, 1, True)) is not None:
+        probe.add(*e)
+        pending.remove(e)
+        added.append(e)
     if pending:
         return PredicateReport(
             "weakly-saturated", False, CERT_CLOSURE_GAP, tuple(pending)
@@ -206,9 +200,8 @@ def recheck_certificate(report: PredicateReport, g: Graph, f: Graph) -> bool:
                 probe.add(*e)
         if not gap or any(probe.has_edge(u, v) for u, v in gap):
             return False
-        if any(probe.through_added(*e) is not None for e in gap):
-            return False
-        return not report.verdict
+        # gap now holds every non-edge of the grown probe and no edge
+        return not report.verdict and probe.scan(sorted(gap), 1, True) is None
     # CERT_CLOSURE_ORDER
     for e in cert:
         if probe.has_edge(*e):

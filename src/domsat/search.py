@@ -9,7 +9,13 @@ the empty graph, e.g. every graph is weakly K_2-saturated.
 
 The degree floor only ever applies necessary degree conditions and the
 level sweep itself is never truncated; tests/test_search.py checks the
-floor against an unpruned sweep.
+floor against an unpruned sweep.  Its one condition on weakly-saturated
+hosts is minimum degree >= delta(F) - 1: the first edge the closure adds
+at v lies in a new copy of F, where v has degree >= delta(F) and its
+other edges were present, and a vertex that gains no edge has degree
+n - 1 >= |F| - 1.  Its other
+conditions do not hold there (an edge plus two isolated vertices is
+weakly P3-saturated), and that sweep starts at level 0.
 """
 
 from __future__ import annotations
@@ -110,13 +116,13 @@ def _sweep_start(n: int, info: _PatternInfo, predicate: str) -> int:
 
 
 def _passes_floor(g: Graph, info: _PatternInfo, predicate: str) -> bool:
+    degs = g.degrees()
+    if min(degs) < info.delta - 1:
+        return False
     if predicate == "weakly-saturated":
         return True
-    degs = g.degrees()
     isolated = sum(1 for d in degs if d == 0)
     if not info.has_k2_component and isolated > 1:
-        return False
-    if min(degs) < info.delta - 1:
         return False
     if predicate == "dom-sat":
         if any(0 < d < info.delta_pos for d in degs):

@@ -59,10 +59,26 @@ MUTANTS = (
         "(_pair_orbit_firsts(arcs, _canonical_search(pattern)[2]))\n",
         (DEFINITIONS,),
     ),
+    # a non-edge probed with its ends' degrees as they are, not once added
     Mutant(
-        "through-added-without-new-degree", "src/domsat/embed.py",
-        "self.degs[u] + 1, self.degs[v] + 1", "self.degs[u], self.degs[v]",
-        (DEFINITIONS,),
+        "added-pair-without-new-degree", "src/domsat/embed.py",
+        "degs[u] + bump, degs[v] + bump", "degs[u], degs[v]", (DEFINITIONS,),
+    ),
+    # every scan stops at the first pair without a copy
+    Mutant(
+        "scan-ignores-want", "src/domsat/embed.py",
+        " is not None) is want:", " is None):", (DEFINITIONS,),
+    ),
+    # the closure adds the first pending pair with no copy through it
+    Mutant(
+        "closure-scans-for-no-copy", "src/domsat/predicates.py",
+        "probe.scan(pending, 1, True)", "probe.scan(pending, 1, False)", (DEFINITIONS,),
+    ),
+    # a gap replays True only when some gap pair has no copy through it
+    Mutant(
+        "gap-replay-scans-for-no-copy", "src/domsat/predicates.py",
+        "probe.scan(sorted(gap), 1, True) is None", "probe.scan(sorted(gap), 1, False) is None",
+        ("tests/test_predicates.py::test_twin_rich_closure_gap_replays",),
     ),
     Mutant(
         "strict-degree-mask", "src/domsat/embed.py", "if hd >= d)", "if hd > d)",
@@ -100,6 +116,13 @@ MUTANTS = (
     Mutant(
         "floor-at-pattern-min-degree", "src/domsat/search.py",
         "if min(degs) < info.delta - 1:", "if min(degs) < info.delta:", (PRUNING,),
+    ),
+    # K3's tree witnesses have leaves of degree 1 = delta - 1
+    Mutant(
+        "weakly-saturated-floor-at-pattern-min-degree", "src/domsat/search.py",
+        '    if predicate == "weakly-saturated":\n        return True\n',
+        '    if predicate == "weakly-saturated":\n        return min(degs) >= info.delta\n',
+        ("tests/test_search.py::test_witness_sets_match_naive_oracle",),
     ),
     Mutant(
         "dom-sat-floor-rejects-pattern-min-degree", "src/domsat/search.py",

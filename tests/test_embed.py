@@ -214,7 +214,8 @@ def test_edge_probe_matches_built_hosts_and_restores(host):
         for e in host.edges():
             assert probe.through_edge(*e) == copy_through_edge(pattern, host, e)
         for e in host.non_edges():
-            assert probe.through_added(*e) == copy_through_edge(pattern, host.add_edge(*e), e)
+            found = copy_through_edge(pattern, host.add_edge(*e), e) is not None
+            assert (probe.scan([e], 1, True) == e) is found
         assert (probe.rows, probe.degs, probe.deg_ok) == fresh
         # a committed edge leaves the probe in the state of a probe of host + e
         grown_host = host
@@ -298,7 +299,8 @@ def test_anchored_probes_find_the_reference_mapping(host):
         for e in host.edges():
             assert probe.through_edge(*e) == _reference_through(pattern, host, *e), (pattern, e)
         for e in host.non_edges():
-            assert probe.through_added(*e) == _reference_through(pattern, host, *e), (pattern, e)
+            found = _reference_through(pattern, host, *e) is not None
+            assert (probe.scan([e], 1, True) == e) is found, (pattern, e)
 
 
 def test_anchored_probe_mappings_match_the_copy_definition():
@@ -321,7 +323,8 @@ def test_anchored_probe_mappings_match_the_copy_definition():
                     if host.has_edge(u, v):
                         mapping = probe.through_edge(u, v)
                     else:
-                        mapping = probe.through_added(u, v)
+                        assert (probe.scan([(u, v)], 1, True) is not None) == exists
+                        mapping = copy_through_edge(pattern, host.add_edge(u, v), (u, v))
                     assert (mapping is not None) == exists, (pattern, host, (u, v))
                     if mapping is None:
                         continue

@@ -10,6 +10,7 @@ from conftest import ANCHOR_PATTERNS, graphs
 from domsat import (
     all_classes,
     bridge_family,
+    complete_bipartite,
     complete_graph,
     copy_through_edge,
     cycle_gadget,
@@ -124,6 +125,16 @@ def test_certificates_replay(host):
 
 _TWO_K3 = disjoint_union([K3, K3])
 _K4_MINUS_E = complete_graph(4).remove_edge(0, 1)
+# the K3 closure of two stars K1,5 (centres 0 and 6) fills each star and
+# stops at the 36 pairs between them, more than 2n = 24, so a replay of
+# its gap reads the grown host's twins
+_TWO_STARS = disjoint_union([star_graph(5)] * 2)
+_STARS_GAP = is_weakly_saturated(_TWO_STARS, K3).certificate
+
+
+def _gap(cert):
+    return PredicateReport("weakly-saturated", False, "closure-gap", cert)
+
 
 # each certificate is valid for some other question, names a vertex
 # outside the host, or is not a tuple of int vertices, so none may replay
@@ -154,6 +165,17 @@ _FORGED = {
     "closure-gap-missing-pairs": (
         PredicateReport("weakly-saturated", False, "closure-gap", ((0, 1),)),
         empty_graph(4),
+    ),
+    # with (5, 11) added, (0, 11) closes the triangle 0-5-11
+    "twin-rich-closure-gap-missing-a-pair": (_gap(_STARS_GAP[:-1]), _TWO_STARS),
+    "twin-rich-closure-gap-with-a-host-edge": (_gap(_STARS_GAP + ((0, 1),)), _TWO_STARS),
+    "twin-rich-closure-gap-with-a-pair-reversed": (
+        _gap(((6, 0),) + _STARS_GAP[1:]), _TWO_STARS,
+    ),
+    # the stars K1,3 and K1,7 leave the pairs between 0..3 and 4..11
+    "twin-rich-closure-gap-of-another-host": (
+        is_weakly_saturated(disjoint_union([star_graph(3), star_graph(7)]), K3),
+        _TWO_STARS,
     ),
     # the order lists every non-edge, but adding (0, 1) makes no copy
     "closure-order-with-no-copy": (
@@ -209,6 +231,11 @@ _FORGED = {
 @pytest.mark.parametrize("report, host", _FORGED.values(), ids=_FORGED.keys())
 def test_forged_certificates_do_not_replay(report, host):
     assert recheck_certificate(report, host, K3) is False
+
+
+def test_twin_rich_closure_gap_replays():
+    assert _STARS_GAP[0] == (0, 6) and len(_STARS_GAP) == 36
+    assert recheck_certificate(_gap(_STARS_GAP), _TWO_STARS, K3)
 
 
 def test_malformed_pairs_do_not_replay():
@@ -297,7 +324,18 @@ def test_pattern_larger_than_host_starts_no_search(monkeypatch):
 
 
 def _plain_report(name, g, f):
-    """The report of a scanning predicate with every pair probed, in order."""
+    """The report of a scanning predicate with every pair probed, in order
+    (a scan of one pair never reads the twins); the closure probes each
+    non-edge uv of the grown graph h in h + uv and restarts after each
+    edge it adds."""
+    if name == "weakly-saturated":
+        h, added = g, []
+        while e := next((e for e in h.non_edges() if copy_through_edge(f, h.add_edge(*e), e)), None):
+            h = h.add_edge(*e)
+            added.append(e)
+        if h.non_edges():
+            return PredicateReport(name, False, "closure-gap", tuple(h.non_edges()))
+        return PredicateReport(name, True, "closure-order", tuple(added))
     probe = embed._Host(f, g)
     for kind in predicates._TESTS[name]:
         if kind == predicates.CERT_EMBEDDING:
@@ -305,7 +343,7 @@ def _plain_report(name, g, f):
         elif kind == predicates.CERT_UNCOVERED_EDGE:
             found = next((e for e in g.edges() if probe.through_edge(*e) is None), None)
         else:
-            found = next((e for e in g.non_edges() if probe.through_added(*e) is None), None)
+            found = next((e for e in g.non_edges() if probe.scan([e], 1)), None)
         if found is not None:
             return PredicateReport(name, False, kind, found)
     return PredicateReport(name, True)
@@ -335,17 +373,34 @@ def _certify_families():
     return out
 
 
+def _stuck_closures():
+    """(host, pattern) for 21 twin-rich hosts on 12..20 vertices whose
+    closure stops with more than 2n pairs pending: K_{a,b} against K4
+    adds no edge, and two or three stars against K3 fill each star first."""
+    out = []
+    for n in range(12, 21):
+        a = n // 2
+        out.append((complete_bipartite(a, n - a), complete_graph(4)))
+        out.append((disjoint_union([star_graph(a - 1), star_graph(n - a - 1)]), K3))
+    out += [(disjoint_union([star_graph(n // 3 - 1)] * 3), K3) for n in (12, 15, 18)]
+    return out
+
+
 def test_twin_orbit_scans_match_a_plain_scan(pool):
     # a pair a twin swap maps onto an earlier one is never probed; the
-    # verdict, certificate kind and first failing pair stay those of a
-    # scan that probes every pair
+    # verdict, certificate kind and certificate (the first failing pair,
+    # the closure order or its gap) stay those of a scan that probes
+    # every pair
     small = [(g, f) for n in range(2, 8) for g in all_classes(n) if g.edge_count
              for f in pool.values()]
     families = _certify_families()
     assert len(families) == 100
     assert sum(not is_dom_sat(g, f).verdict for g, f in families) == 9
-    for g, f in small + families:
-        for name in ("dominated", "semi-saturated", "saturated", "dom-sat"):
+    assert all(is_weakly_saturated(g, f).verdict for g, f in families)
+    stuck = _stuck_closures()
+    assert all(len(is_weakly_saturated(g, f).certificate) > 2 * g.n for g, f in stuck)
+    for g, f in small + families + stuck:
+        for name in ("dominated", "semi-saturated", "saturated", "dom-sat", "weakly-saturated"):
             assert run_predicate(name, g, f) == _plain_report(name, g, f), (name, g, f)
 
 
@@ -354,7 +409,10 @@ def test_pair_probes_per_twin_orbit(monkeypatch):
     pair makes 190 on dom_turan(20, 4), 91 on star_plus_pair(8) and 276 on
     bridge_family(dumbbell of two K4, 24); one probe per twin orbit makes
     55, 18 and 96.  The last two probe every edge, since their edge lists
-    hold at most 2n pairs, and skip along the non-edges."""
+    hold at most 2n pairs, and skip along the non-edges.  The
+    weakly-saturated closure of two stars K1,5 against K3 makes 536
+    probes when it probes every pending pair and 70 when each scan
+    probes one pair per twin orbit of the host grown so far."""
     probes = []
     through = embed._Host._through
 
@@ -373,6 +431,9 @@ def test_pair_probes_per_twin_orbit(monkeypatch):
         probes.clear()
         assert is_dom_sat(g, f).verdict
         assert len(probes) == want, (g, f)
+    probes.clear()
+    assert not is_weakly_saturated(_TWO_STARS, K3).verdict
+    assert len(probes) == 70
 
 
 def _digest_hosts():
